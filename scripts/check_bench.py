@@ -25,22 +25,6 @@ import json
 import sys
 from pathlib import Path
 
-#: hard floors for pair.apps.<app>.speedup_vs_baseline_generator —
-#: absolute, not relative to the committed report.  The swap-dominated
-#: apps sit below 1.0 by design: their pair time is dominated by the
-#: evented swap path, where the epoch executor's speculative jump
-#: attempts mostly fail and cost more than the avoided events save
-#: (profiled on gauss: epochs-off replay is ~16% faster).  The floors
-#: pin today's measured values minus noise headroom so the known gap
-#: cannot quietly widen.
-PAIR_FLOORS = {
-    "em3d": 0.78,
-    "gauss": 0.72,
-    "radix": 0.76,
-    "mg": 0.81,
-}
-
-
 def numeric_leaves(tree, prefix=""):
     """Flatten nested dicts to ``{"a.b.c": value}`` for numeric leaves."""
     out = {}
@@ -90,15 +74,6 @@ def main(argv=None) -> int:
             if change > args.tolerance:
                 print(f"warn: {path}: {cur:.3f}s vs baseline {base:.3f}s "
                       f"({change:+.1%}) [wall-clock, non-blocking]")
-
-    for app, floor in sorted(PAIR_FLOORS.items()):
-        path = f"pair.apps.{app}.speedup_vs_baseline_generator"
-        cur = new.get(path)
-        if cur is None:
-            continue
-        if cur < floor:
-            failures.append(path)
-            print(f"FAIL: {path}: {cur:.3f} below per-app floor {floor}")
 
     if failures:
         print(f"{len(failures)} throughput regression(s) beyond "

@@ -27,8 +27,7 @@ Commands
 ``run`` accepts ``--profile [PATH]`` (cProfile the run for hot-path
 triage), ``--no-compiled-traces`` (use live driver generators; the
 compiled trace path is trajectory-neutral, so results are identical),
-``--no-epochs`` (disable vectorized epoch execution of compiled
-traces; likewise trajectory-neutral), and ``--checkpoint-every PCYCLES``
+and ``--checkpoint-every PCYCLES``
 (record verifiable checkpoints so an interrupted run resumes with a
 bit-identity proof; see :mod:`repro.service.checkpoint`).
 
@@ -147,19 +146,6 @@ def _summary(res: RunResult) -> str:
             f"invariant checks in {int(res.extras['audit_passes'])} passes, "
             "all held"
         )
-    if "epoch_attempted" in res.extras:
-        rejected = int(res.extras["epoch_rejected"])
-        reasons = "  ".join(
-            f"{k[len('epoch_rejected_'):]}={int(v)}"
-            for k, v in sorted(res.extras.items())
-            if k.startswith("epoch_rejected_") and v > 0
-        )
-        lines.append(
-            f"  epochs         : {int(res.extras['epoch_items']):12d} "
-            f"items in {int(res.extras['epoch_batches'])} batches "
-            f"({int(res.extras['epoch_accepted'])} accepted, "
-            f"{rejected} rejected{': ' + reasons if reasons else ''})"
-        )
     faults = getattr(res.metrics, "faults", None)
     fault_counts = faults.as_dict() if faults is not None else {}
     if fault_counts:
@@ -222,7 +208,6 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def _run_once(args: argparse.Namespace) -> int:
     compiled = False if args.no_compiled_traces else None
-    epochs = False if args.no_epochs else None
     app_name = _resolve_app(args)
     params = _openloop_params(args, app_name)
     if args.checkpoint_every is not None and args.report:
@@ -241,7 +226,7 @@ def _run_once(args: argparse.Namespace) -> int:
             faults=args.faults,
         )
         machine = Machine(cfg, system=args.system, prefetch=args.prefetch,
-                          compiled_traces=compiled, epoch_exec=epochs)
+                          compiled_traces=compiled)
         app = make_app(app_name, scale=linear_scale(app_name, args.scale),
                        **params)
         res = machine.run(app)
@@ -273,17 +258,13 @@ def _run_once(args: argparse.Namespace) -> int:
         res = run_experiment(
             app_name, args.system, args.prefetch, data_scale=args.scale,
             audit=args.audit or None, compiled_traces=compiled,
-            epoch_exec=epochs, faults=args.faults, **params,
+            faults=args.faults, **params,
         )
         print(_summary(res))
     openloop_table = report.openloop_section(res)
     if openloop_table:
         print()
         print(openloop_table)
-    epoch_table = report.epoch_section(res)
-    if epoch_table:
-        print()
-        print(epoch_table)
     if args.json:
         from repro.core.export import save_results
 
@@ -604,10 +585,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-compiled-traces", action="store_true",
                    help="feed CPUs from live driver generators instead of "
                         "the compiled reference trace (results identical)")
-    p.add_argument("--no-epochs", action="store_true",
-                   help="disable vectorized epoch execution of compiled "
-                        "traces (results identical; epochs only change "
-                        "wall-clock speed)")
     p.add_argument("--faults", metavar="SPEC", default=None,
                    help="fault-injection plan, e.g. "
                         "'disk_transient_rate=0.01,channel_failures=0@2e6' "

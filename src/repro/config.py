@@ -20,6 +20,7 @@ Presets
 from __future__ import annotations
 
 import dataclasses
+import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
@@ -30,6 +31,32 @@ PCYCLES_PER_SEC = 200_000_000
 #: Bytes per MByte as used by the paper's rate figures.
 MB = 1_000_000
 KB = 1024
+
+
+#: spellings :func:`env_flag` accepts, compared case-insensitively
+_FLAG_TRUE = frozenset({"1", "true", "yes", "on"})
+_FLAG_FALSE = frozenset({"", "0", "false", "no", "off"})
+
+
+def env_flag(name: str, default: bool) -> bool:
+    """Read the boolean environment switch ``name``.
+
+    Unset means ``default``; ``1/true/yes/on`` and ``0/false/no/off`` (or
+    empty) are accepted in any case, surrounding whitespace ignored.
+    Anything else raises ``ValueError`` naming the variable, so a typo
+    cannot silently flip a switch.
+    """
+    raw = os.environ.get(name)
+    if raw is None:
+        return default
+    value = raw.strip().lower()
+    if value in _FLAG_TRUE:
+        return True
+    if value in _FLAG_FALSE:
+        return False
+    raise ValueError(
+        f"{name}={raw!r}: expected 1/true/yes/on or 0/false/no/off"
+    )
 
 
 def mbps_to_bytes_per_pcycle(mb_per_sec: float) -> float:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from repro.apps.base import Workload
-from repro.config import SimConfig
+from repro.config import SimConfig, env_flag
 from repro.disk import Disk, DiskController, FileSystem, PrefetchMode
 from repro.hw import (
     CacheModel,
@@ -44,21 +44,8 @@ SYSTEM_NWCACHE = "nwcache"
 
 
 def _compiled_traces_default() -> bool:
-    """Compiled traces are on unless ``NWCACHE_COMPILED_TRACES=0``."""
-    import os
-
-    return os.environ.get("NWCACHE_COMPILED_TRACES", "").lower() not in (
-        "0", "false", "no",
-    )
-
-
-def _epoch_exec_default() -> bool:
-    """Epoch execution is on unless ``NWCACHE_EPOCH_EXEC=0``."""
-    import os
-
-    return os.environ.get("NWCACHE_EPOCH_EXEC", "").lower() not in (
-        "0", "false", "no",
-    )
+    """Compiled traces are on unless ``NWCACHE_COMPILED_TRACES`` is off."""
+    return env_flag("NWCACHE_COMPILED_TRACES", True)
 
 
 def io_node_ids(cfg: SimConfig) -> List[int]:
@@ -112,7 +99,6 @@ class Machine:
         prefetch: str = "optimal",
         drain_policy: str = DRAIN_MOST_LOADED,
         compiled_traces: Optional[bool] = None,
-        epoch_exec: Optional[bool] = None,
     ) -> None:
         if system not in (SYSTEM_STANDARD, SYSTEM_NWCACHE):
             raise ValueError(f"unknown system {system!r}")
@@ -121,16 +107,6 @@ class Machine:
         if compiled_traces is None:
             compiled_traces = _compiled_traces_default()
         self.compiled_traces = bool(compiled_traces)
-        if epoch_exec is None:
-            epoch_exec = _epoch_exec_default()
-        #: vectorized epoch execution of compiled traces (requires the
-        #: compiled path; trajectory-neutral, see ``Cpu.run_epochs``).
-        #: Disable with ``epoch_exec=False``, ``--no-epochs``, or
-        #: ``NWCACHE_EPOCH_EXEC=0``.
-        self.epoch_exec = bool(epoch_exec)
-        #: whether the last run() actually took the epoch path (gates
-        #: the epoch-rejection profile in ``RunResult.extras``)
-        self._used_epochs = False
         self.prefetch = PrefetchMode(prefetch)
         self.engine = Engine()
         self.rng = RngRegistry(cfg.seed)
@@ -309,31 +285,18 @@ class Machine:
         if trace is not None:
             # Compiled fast path: replay the workload's array-backed
             # trace (shared via repro.core.trace across the
-            # standard/NWCache pair and every sweep/batch point).
-            # Epoch execution additionally batches non-interacting runs
-            # of visits into vectorized steps; it needs every
-            # replacement policy to accept batched touches.
-            use_epochs = self.epoch_exec and all(
-                getattr(p, "epoch_touch_safe", False) for p in self.vm.resident
-            )
-            self._used_epochs = use_epochs
-            if use_epochs:
-                self.vm.jump_transfers = True
-                # The swap-out and disk-controller paths attempt the
-                # same uncontended clock jumps (trajectory-neutral; see
-                # docs/performance.md "Contended epochs").
-                self.swap.jump_transfers = True
-                for ctrl in self.controllers:
-                    ctrl.jump_clock = True
-                procs = [
-                    self.engine.process(cpu.run_epochs(trace, n, pages.start))
-                    for n, cpu in enumerate(self.cpus)
-                ]
-            else:
-                procs = [
-                    self.engine.process(cpu.run_compiled(trace, n, pages.start))
-                    for n, cpu in enumerate(self.cpus)
-                ]
+            # standard/NWCache pair and every sweep/batch point).  The
+            # CPUs, the fault paths, the swap-out crossings and the disk
+            # controllers all attempt uncontended clock jumps first
+            # (trajectory-neutral; see docs/performance.md "Clock jumps").
+            self.vm.jump_transfers = True
+            self.swap.jump_transfers = True
+            for ctrl in self.controllers:
+                ctrl.jump_clock = True
+            procs = [
+                self.engine.process(cpu.run_compiled(trace, n, pages.start))
+                for n, cpu in enumerate(self.cpus)
+            ]
         else:
             streams = app.streams(self.cfg.n_nodes, pages.start, self.rng)
             if len(streams) != self.cfg.n_nodes:
@@ -428,7 +391,7 @@ class Machine:
         (open-loop generators mark the warmup -> measured boundary);
         the barrier's release calls :meth:`Metrics.mark_phase`, which
         observes but never mutates simulation state — trajectories stay
-        bit-identical across the generator/compiled/epoch paths.
+        bit-identical across the generator and compiled paths.
         """
         marks = getattr(app, "phase_marks", None) or {}
         metrics = self.metrics
@@ -462,41 +425,12 @@ class Machine:
             "ring_stored_peak": float(self.ring.total_stored) if self.ring else 0.0,
             "tlb_hit_rate": sum(t.hit_rate for t in self.tlbs) / ncpu,
         }
-        if self._used_epochs:
-            # Epoch-rejection profile: how much of the stream ran
-            # batched, and why the rest stayed evented.  Floats so they
-            # survive the extras JSON round-trip; stripped from every
-            # bit-identity comparison (absent entirely with epochs off).
-            from repro.hw.cpu import EPOCH_REJECT_REASONS
-
-            attempted = sum(c.epoch_attempted for c in self.cpus)
-            accepted = sum(c.epoch_accepted for c in self.cpus)
-            extras["epoch_attempted"] = float(attempted)
-            extras["epoch_accepted"] = float(accepted)
-            extras["epoch_rejected"] = float(attempted - accepted)
-            extras["epoch_items"] = float(
-                sum(c.epoch_items for c in self.cpus)
-            )
-            extras["epoch_batches"] = float(
-                sum(c.epoch_batches for c in self.cpus)
-            )
+        if self.vm.jump_transfers:
+            # How many events the compiled replay's clock jumps elided: a
+            # diagnostic of the replay strategy, not of the simulated
+            # machine, so it is absent on the generator path and
+            # stripped from every bit-identity comparison.
             extras["epoch_events_jumped"] = float(self.engine.events_jumped)
-            extras["epoch_fault_jumps"] = float(
-                sum(c.epoch_fault_jumps for c in self.cpus)
-            )
-            extras["epoch_ring_jumps"] = float(
-                sum(c.epoch_ring_jumps for c in self.cpus)
-            )
-            extras["epoch_fault_blocked_pressure"] = float(
-                sum(c.epoch_fault_blocked_pressure for c in self.cpus)
-            )
-            extras["epoch_fault_blocked_window"] = float(
-                sum(c.epoch_fault_blocked_window for c in self.cpus)
-            )
-            for reason in EPOCH_REJECT_REASONS:
-                extras[f"epoch_rejected_{reason}"] = float(
-                    sum(c.epoch_rejects.get(reason, 0) for c in self.cpus)
-                )
         if self.auditor is not None:
             extras["audit_passes"] = float(self.auditor.passes)
             extras["audit_checks"] = float(self.auditor.checks)

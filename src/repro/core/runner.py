@@ -22,7 +22,7 @@ from typing import Any, Dict, Optional, Tuple
 
 from repro.apps import make_app
 from repro.apps.base import Workload
-from repro.config import SimConfig
+from repro.config import SimConfig, env_flag
 from repro.core.machine import Machine, RunResult, SYSTEM_NWCACHE, SYSTEM_STANDARD
 
 #: Section 5's best minimum-free-frames per (system, prefetch); the
@@ -90,8 +90,8 @@ def experiment_config(
 
 
 def _audit_default() -> bool:
-    """Audit experiments when ``NWCACHE_AUDIT`` is set (CI audit mode)."""
-    return os.environ.get("NWCACHE_AUDIT", "").lower() not in ("", "0", "false", "no")
+    """Audit experiments when ``NWCACHE_AUDIT`` is on (CI audit mode)."""
+    return env_flag("NWCACHE_AUDIT", False)
 
 
 def env_fault_spec() -> Optional[str]:
@@ -109,7 +109,6 @@ def run_experiment(
     drain_policy: str = "most-loaded",
     audit: Optional[bool] = None,
     compiled_traces: Optional[bool] = None,
-    epoch_exec: Optional[bool] = None,
     faults: Any = None,
     **app_params: Any,
 ) -> RunResult:
@@ -137,14 +136,10 @@ def run_experiment(
         or the ``NWCACHE_AUDIT`` environment variable.
     compiled_traces:
         Feed the CPUs from a compiled reference trace
-        (:mod:`repro.core.trace`) instead of live driver generators.
-        Trajectory-neutral; ``None`` defers to the
+        (:mod:`repro.core.trace`, replayed by
+        :meth:`~repro.hw.cpu.Cpu.run_compiled`) instead of live driver
+        generators.  Trajectory-neutral; ``None`` defers to the
         ``NWCACHE_COMPILED_TRACES`` environment default (on).
-    epoch_exec:
-        Vectorized epoch execution of compiled traces
-        (:meth:`~repro.hw.cpu.Cpu.run_epochs`).  Trajectory-neutral;
-        ``None`` defers to the ``NWCACHE_EPOCH_EXEC`` environment
-        default (on).  Only takes effect on the compiled-trace path.
     faults:
         Fault-injection plan: a :class:`~repro.sim.faults.FaultPlan`, a
         spec string (see :func:`~repro.sim.faults.parse_fault_spec`), or
@@ -187,7 +182,6 @@ def run_experiment(
         prefetch=prefetch,
         drain_policy=drain_policy,
         compiled_traces=compiled_traces,
-        epoch_exec=epoch_exec,
     )
     return machine.run(workload)
 

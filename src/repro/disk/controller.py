@@ -98,8 +98,8 @@ class DiskController:
         self._fault_plan: Any = None
         self._fault_injector: Any = None
         #: attempt an uncontended clock jump for the fixed controller
-        #: overhead on reads (set by the machine when epoch execution is
-        #: active; bit-identical to the evented timeout either way)
+        #: overhead on reads (set by the machine for compiled-trace
+        #: replays; bit-identical to the evented timeout either way)
         self.jump_clock = False
         engine.process(self._flusher())
 

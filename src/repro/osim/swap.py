@@ -62,7 +62,7 @@ class SwapManager:
         self.ring = ring
         self.interfaces = interfaces or {}
         #: attempt uncontended clock jumps on the swap-out crossings
-        #: (set by the machine when epoch execution is active; each jump
+        #: (set by the machine for compiled-trace replays; each jump
         #: is exactly equivalent to the evented sequence it replaces, so
         #: trajectories are bit-identical either way)
         self.jump_transfers = False

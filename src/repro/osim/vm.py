@@ -70,11 +70,11 @@ class VmSystem:
         self.swap = swap
         self.metrics = metrics
         self.table = PageTable(engine)
-        #: when True (set by the machine for epoch-executed runs), the
+        #: when True (set by the machine for compiled-trace replays), the
         #: fault paths first attempt uncontended clock jumps
         #: (``try_jump`` / ``try_jump_transfer``) before scheduling real
-        #: events.  Off by default so the evented path stays untouched
-        #: mechanism-for-mechanism when epochs are disabled.
+        #: events.  Off by default so the generator path stays purely
+        #: evented, mechanism for mechanism.
         self.jump_transfers = False
         #: per-node resident-page replacement policy (paper: LRU)
         self.resident: List[ReplacementPolicy] = [

@@ -15,6 +15,7 @@ NWCache models need:
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import TYPE_CHECKING, Any, Callable, Iterable, List, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -24,8 +25,7 @@ _PENDING = object()  #: sentinel: event not yet triggered
 
 #: Engine.NORMAL, duplicated here because the engine imports this module.
 #: The hottest trigger paths below push onto the engine queue directly
-#: (engine._push, the pre-bound insert of whichever event-list structure
-#: NWCACHE_ENGINE selected) instead of paying Engine._schedule per event.
+#: (inlined Engine._schedule) instead of paying a method call per event.
 _NORMAL = 1
 
 
@@ -88,7 +88,7 @@ class Event:
         self._ok = True
         self._value = value
         engine = self.engine
-        engine._push((engine._now, _NORMAL, next(engine._eid), self))
+        heappush(engine._queue, (engine._now, _NORMAL, next(engine._eid), self))
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -129,7 +129,9 @@ class Timeout(Event):
         self._processed = False
         self._defused = False
         self.delay = delay
-        engine._push((engine._now + delay, _NORMAL, next(engine._eid), self))
+        heappush(
+            engine._queue, (engine._now + delay, _NORMAL, next(engine._eid), self)
+        )
 
 
 class _Condition(Event):

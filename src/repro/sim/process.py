@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Generator, Optional
 
+from heapq import heappush
+
 from repro.sim.events import _NORMAL, Event
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -40,7 +42,7 @@ def _kick(
     kick._ok = ok
     kick._processed = False
     kick._defused = defused
-    engine._push((engine._now, _NORMAL, next(engine._eid), kick))
+    heappush(engine._queue, (engine._now, _NORMAL, next(engine._eid), kick))
 
 
 class Interrupt(Exception):

@@ -31,9 +31,9 @@ def run_snapshot(app, compiled, audit=False, system="nwcache"):
 
 
 def _sans_epoch(extras):
-    # The epoch-rejection profile rides only the epoch-executed path;
-    # it describes the execution strategy, not the simulated machine,
-    # and sits outside the bit-identity contract.
+    # epoch_events_jumped rides only the compiled path; it describes
+    # the execution strategy, not the simulated machine, and sits
+    # outside the bit-identity contract.
     return {k: v for k, v in extras.items() if not k.startswith("epoch_")}
 
 

@@ -1,20 +1,19 @@
-"""The epoch executor's boundary detection, on adversarial traces.
+"""Compiled replay at its jump boundaries, on adversarial traces.
 
-The epoch executor (``Cpu.run_epochs`` / ``Cpu._epoch_step``) may batch
-a run of trace items only while it can prove the run cannot interact
-with the rest of the machine.  These tests construct traces engineered
-to break each leg of that proof — a page missing from the resident
-window, cross-CPU bus contention, pages parked in optical ring slots —
-and check both that the detector refuses (or truncates) the epoch and
-that the run result stays bit-identical to the pure event kernel.
+The compiled replay (``Cpu.run_compiled``, with the machine's fault,
+swap-out and controller paths armed) may collapse a wait into a clock
+jump only while nothing else in the machine is due inside the jump
+window.  These tests construct traces engineered to put work inside
+those windows — pages missing from the resident window, cross-CPU bus
+contention, pages parked in optical ring slots, victims raced across
+processors, failing ring channels, an exhausted frame pool — and check
+that the run result stays bit-identical to the pure event kernel
+(``compiled_traces=False``).  The last two tests pin the engine's
+``try_jump`` multi-dispatch guard directly.
 """
-
-import numpy as np
 
 from repro.config import SimConfig
 from repro.core.machine import Machine
-from repro.core.trace import KIND_VISIT, get_trace
-from repro.hw.cpu import MIN_EPOCH_ITEMS
 from repro.sim import Engine
 from tests.conftest import SyntheticWorkload
 
@@ -22,8 +21,8 @@ from tests.conftest import SyntheticWorkload
 def _snapshot(res):
     d = dict(vars(res))
     d.pop("metrics", None)  # carries wall-clock noise
-    # epoch_* extras profile the execution strategy itself (absent with
-    # epochs off); they are outside the bit-identity contract.
+    # epoch_events_jumped profiles the replay strategy itself (absent on
+    # the generator path); it is outside the bit-identity contract.
     d["extras"] = {
         k: v for k, v in res.extras.items() if not k.startswith("epoch_")
     }
@@ -31,112 +30,41 @@ def _snapshot(res):
 
 
 def _run_both(system="standard", cfg_kwargs=None, **wl_kwargs):
-    """Run the same workload with epochs off and on; return the two
-    machines after asserting bit-identical results."""
+    """Run the same workload on the generator path and the compiled
+    replay; return the two machines after asserting bit-identical
+    results."""
     machines = {}
-    for ep in (False, True):
+    for compiled in (False, True):
         cfg = SimConfig.tiny(**(cfg_kwargs or {}))
-        m = Machine(cfg, system=system, epoch_exec=ep)
+        m = Machine(cfg, system=system, compiled_traces=compiled)
         m.result = m.run(SyntheticWorkload(**wl_kwargs))
-        machines[ep] = m
+        machines[compiled] = m
     assert _snapshot(machines[False].result) == _snapshot(
         machines[True].result
     )
+    assert machines[False].engine.events_jumped == 0
     return machines[False], machines[True]
-
-
-def _epoch_items(machine):
-    return sum(cpu.epoch_items for cpu in machine.cpus)
-
-
-def _assert_profile_consistent(machine):
-    """The rejection profiler's accounting invariant: every attempt is
-    either accepted or rejected with exactly one taxonomy reason."""
-    from repro.hw.cpu import EPOCH_REJECT_REASONS
-
-    attempted = sum(c.epoch_attempted for c in machine.cpus)
-    accepted = sum(c.epoch_accepted for c in machine.cpus)
-    rejected = sum(sum(c.epoch_rejects.values()) for c in machine.cpus)
-    assert attempted == accepted + rejected
-    for cpu in machine.cpus:
-        assert set(cpu.epoch_rejects) <= set(EPOCH_REJECT_REASONS)
-    return attempted, accepted
-
-
-# ------------------------------------------------------------- engagement
-def test_epoch_friendly_run_engages_epochs():
-    """In-window private sweeps are the regime epochs exist for."""
-    # 2 pages/CPU fits the window (4), the TLB (8), and memory.
-    _, on = _run_both(
-        n_pages=8, sweeps=32, accesses=1, write=False, think=10.0,
-        use_barriers=False,
-    )
-    assert _epoch_items(on) > 0
-    assert on.engine.events_processed == on.engine.events_processed
 
 
 # ------------------------------------------- adversarial: resident miss
 def test_out_of_window_reuse_is_contended_or_identical():
-    """8 pages/CPU against a 4-page window: every revisit's reuse
-    distance exceeds the window, so the fast validator never finds a
-    run.  The contended step *does* attempt (barrier-free traces have
-    long hard runs) but every item is a window miss whose fetch chain
-    must be proven jump-safe, and with four processors advancing in
-    lockstep the event queue always holds a peer inside the horizon —
-    so attempts are rejected, per-item dispatch handles the misses, and
-    the result stays bit-identical (asserted in ``_run_both``)."""
-    _, on = _run_both(
+    """8 pages/CPU against a 4-page window: every revisit misses the
+    window, so every item flushes and crosses its home bus, and with
+    four processors advancing in lockstep the event queue usually
+    holds a peer inside the jump window — the guards must refuse
+    exactly then and the result stays bit-identical."""
+    _, fast = _run_both(
         n_pages=32, sweeps=8, accesses=1, write=False, think=10.0,
         use_barriers=False,
     )
-    attempted, _ = _assert_profile_consistent(on)
-    assert attempted > 0
-
-
-def test_tlb_overflow_commits_via_contended_step():
-    """Statically epoch-friendly (reuse 11 < window 16), but 12 distinct
-    pages per CPU overflow the 8-entry TLB.  The fast validator must
-    truncate at the cap (it proves TLB behaviour wholesale), but the
-    contended step replays each TLB miss, insertion, and eviction in
-    exact kernel order, so it batches straight across the overflow —
-    and the result stays bit-identical either way."""
-    _, on = _run_both(
-        cfg_kwargs=dict(l2_resident_pages=16, memory_per_node=64 * 1024),
-        n_pages=48, sweeps=16, accesses=2, write=False, think=10.0,
-        use_barriers=False,
-    )
-    for cpu in on.cpus:
-        assert on.vm.tlbs[cpu.node].n_entries == 8
-    assert _epoch_items(on) > 0
-    _assert_profile_consistent(on)
-
-
-def test_tlb_cap_truncates_each_epoch():
-    """16 distinct pages per CPU against a 12-entry TLB: runs are
-    statically unbounded (reuse 15 < window 16, no barriers), yet every
-    committed epoch must stop at the TLB cap instead of swallowing a
-    whole sweep blindly."""
-    _, on = _run_both(
-        # 128K/node leaves free frames: at exactly 64 pages / 64 frames
-        # the min-free reserve keeps pages cycling through swapouts and
-        # live validation (state must be MEMORY) refuses every run.
-        cfg_kwargs=dict(l2_resident_pages=16, tlb_entries=12,
-                        memory_per_node=128 * 1024),
-        n_pages=64, sweeps=16, accesses=2, write=False, think=10.0,
-        use_barriers=False,
-    )
-    items = _epoch_items(on)
-    batches = sum(cpu.epoch_batches for cpu in on.cpus)
-    assert items > 0
-    # each batch covers at most tlb_entries distinct pages = 12 items
-    assert items <= 12 * batches
+    assert fast.engine.events_jumped > 0
 
 
 # ------------------------------------------- adversarial: contended bus
 def test_shared_pages_contend_and_stay_identical():
     """All CPUs hammer the same pages: misses, bus transfers, and
-    shootdowns land mid-run, so epochs must keep yielding to the event
-    kernel exactly at the contended boundaries."""
+    shootdowns land mid-run, so the replay must keep yielding to the
+    event kernel exactly at the contended waits."""
     off, on = _run_both(
         n_pages=8, sweeps=8, accesses=4, write=True, shared=True,
         think=10.0,
@@ -147,122 +75,67 @@ def test_shared_pages_contend_and_stay_identical():
 # ------------------------------------------- adversarial: ring conflict
 def test_ring_resident_pages_defeat_validation():
     """Out-of-core NWCache run: pages cycle through optical ring slots
-    (state RING, not MEMORY), so the live validation must refuse to
-    batch over them."""
+    (state RING, not MEMORY), so faults resolve through the evented
+    ring-snoop path while drains and swap-outs keep the queue busy."""
     off, on = _run_both(
         system="nwcache",
         n_pages=64, sweeps=4, accesses=2, write=True, think=10.0,
     )
     # The run thrashes: 64 pages against 32 frames.  Identity (checked
-    # in _run_both) is the load-bearing assertion; engagement is
-    # incidental and typically near zero.
+    # in _run_both) is the load-bearing assertion.
     assert off.result.exec_time == on.result.exec_time
 
 
 # ------------------------------------- adversarial: eviction-dominated
 def test_eviction_dominated_writes_stay_identical():
     """Dirty pages far beyond the resident window: every revisit is a
-    cache miss and most faults evict a dirty victim, so the contended
-    step's fetch-chain proof runs against live swap-out traffic on the
-    buses.  Identity against the evented kernel is the contract; the
-    profiler must account for every attempt."""
+    cache miss and most faults evict a dirty victim, so the bus, mesh
+    and swap-out jump guards run against live swap-out traffic."""
     _, on = _run_both(
         cfg_kwargs=dict(l2_resident_pages=2),
         n_pages=32, sweeps=6, accesses=2, write=True, think=50.0,
         use_barriers=False,
     )
-    attempted, _ = _assert_profile_consistent(on)
-    assert attempted > 0
+    assert on.engine.events_jumped > 0
 
 
 def test_victim_race_across_processors_stays_identical():
     """All four processors write the same pages against a frame pool
-    too small to hold them: a page one CPU is batching over can be
-    chosen as another CPU's eviction victim mid-flight.  The live
-    revalidation (state must be MEMORY at commit time) is what keeps
-    the batched path from racing the reclaim."""
-    _, on = _run_both(
+    too small to hold them: a page one CPU is fetching can be chosen as
+    another CPU's eviction victim mid-flight, so a jump taken on one
+    processor must never leap over the reclaim scheduled by another."""
+    _run_both(
         cfg_kwargs=dict(memory_per_node=16 * 1024),  # 4 frames/node
         n_pages=16, sweeps=6, accesses=2, write=True, shared=True,
         think=10.0, use_barriers=False,
     )
-    _assert_profile_consistent(on)
 
 
 def test_writeback_during_degraded_ring_stays_identical():
     """NWCache run with half the optical channels failing mid-run:
     writebacks started on the ring degrade to the standard interconnect
-    path while epochs are live, so the jump guards in the swap path must
-    stay equivalent across the failover."""
+    path while the replay is jumping, so the jump guards in the swap
+    path must stay equivalent across the failover."""
     _, on = _run_both(
         system="nwcache",
         cfg_kwargs=dict(faults="channel_failures=0;1@5e5"),
         n_pages=48, sweeps=4, accesses=2, write=True, think=10.0,
     )
-    assert on.result.extras.get("fault_events", 0) >= 0
-    _assert_profile_consistent(on)
+    assert on.result.extras["faults_injected"] > 0
 
 
 def test_frame_pool_exhaustion_mid_run_stays_identical():
     """4 frames per node against 12 dirty pages per CPU: the free-frame
-    reserve empties mid-run and faults stall on swap-outs.  Epoch
-    attempts must reject at the fault boundaries (pages ABSENT or
-    in-flight) without perturbing the stall timing."""
-    _, on = _run_both(
+    reserve empties mid-run and faults stall on swap-outs, so the
+    fault path's jumps must refuse while the replacement daemon runs
+    without perturbing the stall timing."""
+    off, on = _run_both(
         cfg_kwargs=dict(memory_per_node=16 * 1024),  # 4 frames/node
         n_pages=48, sweeps=4, accesses=1, write=True, think=10.0,
         use_barriers=False,
     )
-    attempted, accepted = _assert_profile_consistent(on)
-    rejects = {}
-    for cpu in on.cpus:
-        for k, v in cpu.epoch_rejects.items():
-            rejects[k] = rejects.get(k, 0) + v
-    # With the pool exhausted, at least some attempts die at a page
-    # that is absent or mid-swap.
-    assert attempted > accepted
-    assert sum(rejects.values()) > 0
-
-
-# ---------------------------------------------------- plan-level checks
-def _plan_for(**wl_kwargs):
-    cfg = SimConfig.tiny()
-    wl = SyntheticWorkload(**wl_kwargs)
-    tr = get_trace(wl, cfg.n_nodes, cfg.seed, cache=False)
-    return tr, tr.epoch_plan(0, cfg.l2_resident_pages,
-                             cfg.cpu_cycles_per_access)
-
-
-def test_barriers_are_boundaries():
-    tr, plan = _plan_for(n_pages=8, sweeps=4, accesses=1,
-                         use_barriers=True)
-    kinds = tr.kinds[0]
-    barrier_idx = np.flatnonzero(kinds != KIND_VISIT)
-    assert barrier_idx.size == 4  # one per sweep
-    for b in barrier_idx:
-        assert plan.next_boundary[b] == b
-        if b > 0:
-            # items before a barrier can never run past it
-            assert plan.next_boundary[b - 1] <= b
-
-
-def test_in_window_stream_has_long_runs():
-    tr, plan = _plan_for(n_pages=8, sweeps=32, accesses=1,
-                         use_barriers=False)
-    n = len(tr.kinds[0])
-    # After the 2 cold first-touches, nothing interrupts the sweep.
-    assert plan.max_run >= n - 2
-    assert plan.max_run == int((plan.next_boundary -
-                                np.arange(n)).max())
-
-
-def test_far_reuse_marks_every_item():
-    tr, plan = _plan_for(n_pages=32, sweeps=8, accesses=1,
-                         use_barriers=False)
-    # 8 pages vs window 4: every item is its own boundary.
-    n = len(tr.kinds[0])
-    assert np.array_equal(plan.next_boundary, np.arange(n))
-    assert plan.max_run < MIN_EPOCH_ITEMS
+    assert on.result.breakdown["nofree"] == off.result.breakdown["nofree"]
+    assert on.result.breakdown["nofree"] > 0
 
 
 # ------------------------------------------------- multi-dispatch guard
