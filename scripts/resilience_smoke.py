@@ -11,7 +11,10 @@ pytest, the way an operator would hit it:
    checkpoint, wait out the orphaned lease, and settle the sweep;
 4. assert the resumed results are **bit-identical** to the reference
    and that the journal's accounting shows **no cell executed more
-   than once** (the killed attempt never journaled a completion).
+   than once** (the killed attempt never journaled a completion);
+5. repeat 2-4 with a survivor whose ``checkpoint_every`` differs from
+   the killed worker's: it cannot resume the foreign checkpoint, so it
+   must clear it and re-run the cell, again with no failed attempt.
 
 Pass ``--artifact-dir DIR`` to keep the survivor's journal and the
 resumed checkpoint journal for upload/inspection.  Exits non-zero on
@@ -80,6 +83,86 @@ def doomed_worker(root: str) -> None:
     raise AssertionError("unreachable: the worker must have died mid-cell")
 
 
+def killed_sweep(
+    sweep_root: Path,
+    cache_root: Path,
+    keys,
+    reference: dict,
+    survivor_every: float,
+    artifact_dir,
+) -> None:
+    """SIGKILL a worker mid-cell, then settle the sweep with a survivor
+    checkpointing every ``survivor_every`` pcycles."""
+    print(
+        "killed sweep (SIGKILL mid-cell, then a survivor with "
+        f"checkpoint_every={survivor_every:g}):"
+    )
+    queue = SweepQueue(sweep_root, lease_duration=1.0)
+    cache = ResultCache(cache_root)
+    check(queue.submit(specs()) == keys, "same specs key identically")
+
+    ctx = multiprocessing.get_context("fork")
+    child = ctx.Process(target=doomed_worker, args=(str(sweep_root),))
+    child.start()
+    child.join(timeout=120)
+    check(child.exitcode == -9, "first worker died by SIGKILL")
+
+    state = queue.state()
+    check(
+        all(c.status != DONE for c in state.cells.values()),
+        "the dead worker finished nothing",
+    )
+    orphaned = [k for k, c in state.cells.items() if c.status == LEASED]
+    check(len(orphaned) == 1, "exactly one orphaned lease left behind")
+    ckpt = queue.checkpoint_path(orphaned[0])
+    snaps = [r for r in Journal(ckpt).replay() if r["type"] == "snap"]
+    check(
+        len(snaps) >= KILL_AT_SNAPSHOT,
+        "checkpoints survived the kill",
+    )
+    if artifact_dir is not None:
+        # keep the checkpoint now — the survivor clears it on completion
+        artifact_dir.mkdir(parents=True, exist_ok=True)
+        shutil.copy(ckpt, artifact_dir / "resumed-cell.ckpt")
+
+    survivor = Worker(
+        queue,
+        cache=cache,
+        worker_id="survivor",
+        poll_interval=0.1,
+        checkpoint_every=survivor_every,
+    )
+    survivor.run()
+    state = queue.state()
+    check(state.settled, "survivor settled the sweep")
+    check(
+        all(c.status == DONE for c in state.cells.values()),
+        "every cell completed",
+    )
+    check(
+        all(c.executed_runs == 1 for c in state.cells.values()),
+        "journal accounting: no cell executed more than once",
+    )
+    check(
+        state.cells[orphaned[0]].attempts == 2,
+        "the killed cell needed (exactly) a second attempt",
+    )
+    check(
+        not any(c.fail_marks for c in state.cells.values()),
+        "no attempt failed",
+    )
+    check(not ckpt.exists(), "the cell's checkpoint was cleared")
+    resumed = {k: fingerprint(cache.get(k)) for k in keys}
+    check(
+        resumed == reference,
+        "resumed results bit-identical to the uninterrupted reference",
+    )
+
+    if artifact_dir is not None:
+        shutil.copy(queue.journal.path, artifact_dir / "journal.nwj")
+        print(f"  artifacts kept in {artifact_dir}")
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -105,67 +188,10 @@ def main() -> None:
         check(stats.executed == len(keys), "every cell simulated once")
         reference = {k: fingerprint(ref_cache.get(k)) for k in keys}
 
-        print("killed sweep (SIGKILL mid-cell, then resume):")
-        sweep_root = root / "killed"
-        queue = SweepQueue(sweep_root, lease_duration=1.0)
-        cache = ResultCache(root / "killed-cache")
-        check(queue.submit(specs()) == keys, "same specs key identically")
-
-        ctx = multiprocessing.get_context("fork")
-        child = ctx.Process(target=doomed_worker, args=(str(sweep_root),))
-        child.start()
-        child.join(timeout=120)
-        check(child.exitcode == -9, "first worker died by SIGKILL")
-
-        state = queue.state()
-        check(
-            all(c.status != DONE for c in state.cells.values()),
-            "the dead worker finished nothing",
-        )
-        orphaned = [k for k, c in state.cells.items() if c.status == LEASED]
-        check(len(orphaned) == 1, "exactly one orphaned lease left behind")
-        ckpt = queue.checkpoint_path(orphaned[0])
-        snaps = [r for r in Journal(ckpt).replay() if r["type"] == "snap"]
-        check(
-            len(snaps) >= KILL_AT_SNAPSHOT,
-            "checkpoints survived the kill",
-        )
-        if args.artifact_dir is not None:
-            # keep the checkpoint now — the survivor clears it on completion
-            args.artifact_dir.mkdir(parents=True, exist_ok=True)
-            shutil.copy(ckpt, args.artifact_dir / "resumed-cell.ckpt")
-
-        survivor = Worker(
-            queue,
-            cache=cache,
-            worker_id="survivor",
-            poll_interval=0.1,
-            checkpoint_every=EVERY,
-        )
-        stats = survivor.run()
-        state = queue.state()
-        check(state.settled, "survivor settled the sweep")
-        check(
-            all(c.status == DONE for c in state.cells.values()),
-            "every cell completed",
-        )
-        check(
-            all(c.executed_runs == 1 for c in state.cells.values()),
-            "journal accounting: no cell executed more than once",
-        )
-        check(
-            state.cells[orphaned[0]].attempts == 2,
-            "the killed cell needed (exactly) a second attempt",
-        )
-        resumed = {k: fingerprint(cache.get(k)) for k in keys}
-        check(
-            resumed == reference,
-            "resumed results bit-identical to the uninterrupted reference",
-        )
-
-        if args.artifact_dir is not None:
-            shutil.copy(queue.journal.path, args.artifact_dir / "journal.nwj")
-            print(f"  artifacts kept in {args.artifact_dir}")
+        killed_sweep(root / "killed", root / "killed-cache", keys,
+                      reference, EVERY, args.artifact_dir)
+        killed_sweep(root / "recadenced", root / "recadenced-cache", keys,
+                     reference, 2 * EVERY, None)
 
     print("resilience smoke: all checks passed")
 

@@ -145,9 +145,16 @@ def default_cache_dir() -> Path:
     return base / "nwcache"
 
 
+#: the compact sorted-key encoder behind every key digest, built once
+#: (``json.dumps`` with non-default arguments builds a fresh
+#: ``JSONEncoder`` per call, and :func:`canonical` sorts by one
+#: encoding per dict key)
+_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def _sort_token(obj: Any) -> str:
     """Total order over canonical values (already JSON-encodable)."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return _JSON.encode(obj)
 
 
 def canonical(obj: Any) -> Any:
@@ -202,7 +209,7 @@ def cache_key(
         "data_scale": repr(float(data_scale)),
         "app_params": _canonical(app_params or {}),
     }
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    blob = _JSON.encode(payload)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 

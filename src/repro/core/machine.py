@@ -36,7 +36,7 @@ from repro.hw.cpu import Cpu
 from repro.metrics import Metrics
 from repro.optical import NWCacheInterface, OpticalRing
 from repro.optical.interface import DRAIN_MOST_LOADED
-from repro.osim import BarrierRegistry, PageState, SwapManager, VmSystem
+from repro.osim import BarrierRegistry, SwapManager, VmSystem
 from repro.sim import Engine, RngRegistry, Tally
 
 SYSTEM_STANDARD = "standard"
@@ -334,7 +334,7 @@ class Machine:
                 f"simulation quiesced with CPUs {unfinished} unfinished "
                 "(model deadlock); page states: "
                 + ", ".join(
-                    f"{s.value}={self.vm.table.count_state(s)}" for s in PageState
+                    f"{s.value}={n}" for s, n in self.vm.table.census().items()
                 )
             )
         self.vm.check_invariants()

@@ -209,6 +209,8 @@ class PageTable:
         """All entries (inspection/tests)."""
         return list(self._entries.values())
 
-    def count_state(self, state: PageState) -> int:
-        """Number of pages currently in ``state`` (invariant checks)."""
-        return sum(1 for e in self._entries.values() if e.state is state)
+    def census(self) -> Dict[PageState, int]:
+        """Pages per state, every state in ``PageState`` order, from one
+        pass over the entries (invariant checks, checkpoints, errors)."""
+        states = [e.state for e in self._entries.values()]
+        return {s: states.count(s) for s in PageState}

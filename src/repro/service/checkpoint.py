@@ -32,21 +32,20 @@ wrong resumed result would silently poison a sweep.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
+import struct
 from pathlib import Path
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.apps import make_app
 from repro.core.batch import ExperimentSpec
-from repro.core.cache import canonical
 from repro.core.machine import Machine, RunResult
 from repro.core.runner import _audit_default, linear_scale
-from repro.osim import PageState
 from repro.service.journal import Journal
 
-#: bump when the fingerprint's contents change (old files are refused)
-CHECKPOINT_VERSION = 1
+#: bump when the fingerprint's contents or encoding change (old files
+#: are refused).  v2: flat packed encoding instead of canonical JSON.
+CHECKPOINT_VERSION = 2
 
 
 class CheckpointMismatch(Exception):
@@ -63,6 +62,16 @@ class CheckpointDivergence(Exception):
     """
 
 
+#: the :class:`~repro.metrics.Metrics` tallies a fingerprint covers
+_TALLIES = (
+    "swapout",
+    "swapout_wait",
+    "fault_latency",
+    "disk_hit_latency",
+    "ring_hit_latency",
+)
+
+
 def state_fingerprint(machine: Machine) -> str:
     """SHA-256 digest of a machine's observable mid-run state.
 
@@ -72,52 +81,53 @@ def state_fingerprint(machine: Machine) -> str:
     deliberately outside the bit-identity contract: ``events_jumped``,
     which measures *how* the trajectory was executed, not the
     trajectory itself.
+
+    The encoding is flat and fixed-order, with no JSON: every float is
+    packed as an exact little-endian IEEE-754 double, and everything
+    else — ints, dict keys, which optional times are still ``None`` —
+    goes into the ``repr`` of one list that fixes where each float
+    belongs.  Counter and phase dicts contribute their sorted items,
+    per-CPU times their fixed category order, and the PageState census
+    its enum order.
     """
     m = machine.metrics
-    payload: Dict[str, Any] = {
-        "events": machine.engine.events_processed,
-        "now": repr(machine.engine.now),
-        "counts": m.counts.as_dict(),
-        "tallies": {
-            name: _tally_tuple(getattr(m, name))
-            for name in (
-                "swapout",
-                "swapout_wait",
-                "fault_latency",
-                "disk_hit_latency",
-                "ring_hit_latency",
+    engine = machine.engine
+    ring = machine.ring
+    shape: List[Any] = [
+        engine.events_processed,
+        sorted(m.counts.as_dict().items()),
+    ]
+    floats: List[float] = [engine.now]
+    tallies = [getattr(m, name) for name in _TALLIES]
+    tallies += [ctrl.combining for ctrl in machine.controllers]
+    for t in tallies:
+        # min/max are None exactly while n == 0, and n is in the shape;
+        # the combining tallies' min/max are small ints, exact as doubles
+        shape.append(t.n)
+        floats += (t._mean, t._m2, t.total)
+        floats += (t.min, t.max) if t.n else (0.0, 0.0)
+    for name, snap in sorted(m.phases.items()):
+        items = sorted(snap.items())
+        shape.append((name, [k for k, _ in items]))
+        floats += [v for _, v in items]
+    for c in machine.cpus:
+        shape.append(
+            (
+                sorted(c.stats.as_dict().items()),
+                c.started_at is None,
+                c.finished_at is None,
             )
-        },
-        "phases": m.phases,
-        "cpus": [
-            {
-                "times": dict(c.acct.times),
-                "stats": c.stats.as_dict(),
-                "started": repr(c.started_at),
-                "finished": repr(c.finished_at),
-            }
-            for c in machine.cpus
-        ],
-        "network_bytes": machine.network.bytes_sent,
-        "pages": {
-            s.value: machine.vm.table.count_state(s) for s in PageState
-        },
-        "ring_stored": (
-            machine.ring.total_stored if machine.ring is not None else 0
-        ),
-        "combining": [
-            _tally_tuple(ctrl.combining) for ctrl in machine.controllers
-        ],
-    }
-    blob = json.dumps(
-        canonical(payload), sort_keys=True, separators=(",", ":")
-    )
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
-def _tally_tuple(t) -> list:
-    return [t.n, repr(t._mean), repr(t._m2), repr(t.total),
-            repr(t.min), repr(t.max)]
+        )
+        # a TimeAccount holds exactly the CATEGORIES keys, in that order
+        floats += c.acct.times.values()
+        floats.append(0.0 if c.started_at is None else c.started_at)
+        floats.append(0.0 if c.finished_at is None else c.finished_at)
+    shape.append(machine.network.bytes_sent)
+    shape.append(tuple(machine.vm.table.census().values()))
+    shape.append(ring.total_stored if ring is not None else 0)
+    digest = hashlib.sha256(repr(shape).encode("utf-8"))
+    digest.update(struct.pack(f"<{len(floats)}d", *floats))
+    return digest.hexdigest()
 
 
 def build_machine(spec: ExperimentSpec) -> "tuple[Machine, Any]":

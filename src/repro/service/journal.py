@@ -43,6 +43,10 @@ except ImportError:  # pragma: no cover - non-POSIX fallback (no locking)
 #: length of the hex checksum prefix on every journal line
 _SUM_LEN = 16
 
+#: the one record encoder (``json.dumps`` with non-default arguments
+#: builds a fresh ``JSONEncoder`` on every call)
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
 
 class JournalCorruption(Exception):
     """A non-tail journal record failed validation (see module doc)."""
@@ -50,8 +54,7 @@ class JournalCorruption(Exception):
 
 def record_line(record: Dict[str, Any]) -> bytes:
     """Encode one record as a checksummed journal line."""
-    body = json.dumps(record, sort_keys=True, separators=(",", ":"))
-    payload = body.encode("utf-8")
+    payload = _ENCODER.encode(record).encode("utf-8")
     digest = hashlib.sha256(payload).hexdigest()[:_SUM_LEN]
     return digest.encode("ascii") + b" " + payload + b"\n"
 
@@ -81,8 +84,11 @@ def locked(lock_path: Path):
     if fcntl is None:  # pragma: no cover - non-POSIX
         yield
         return
-    lock_path.parent.mkdir(parents=True, exist_ok=True)
-    fd = os.open(lock_path, os.O_CREAT | os.O_RDWR, 0o644)
+    try:
+        fd = os.open(lock_path, os.O_CREAT | os.O_RDWR, 0o644)
+    except FileNotFoundError:
+        lock_path.parent.mkdir(parents=True, exist_ok=True)
+        fd = os.open(lock_path, os.O_CREAT | os.O_RDWR, 0o644)
     try:
         fcntl.flock(fd, fcntl.LOCK_EX)
         yield
@@ -126,9 +132,16 @@ class Journal:
 
     def _append_unlocked(self, records: List[Dict[str, Any]]) -> None:
         data = b"".join(record_line(r) for r in records)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        first_write = not self.path.exists()
-        fd = os.open(self.path, os.O_CREAT | os.O_WRONLY | os.O_APPEND, 0o644)
+        flags = os.O_WRONLY | os.O_APPEND
+        try:
+            fd = os.open(self.path, flags)
+            first_write = False
+        except FileNotFoundError:
+            # the first record creates the file (and its directory);
+            # the new directory entry is made durable below
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            fd = os.open(self.path, flags | os.O_CREAT, 0o644)
+            first_write = True
         try:
             os.write(fd, data)
             os.fsync(fd)

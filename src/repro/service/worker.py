@@ -16,7 +16,9 @@ never depends on any one of them surviving:
   and its cell re-queues when the lease expires;
 * **checkpoint** — with ``checkpoint_every`` set, long cells record
   verifiable snapshots (:mod:`repro.service.checkpoint`) so a killed
-  worker's successor resumes with a bit-identity proof;
+  worker's successor resumes with a bit-identity proof; a checkpoint it
+  cannot verify or use (divergent, or recorded under another format or
+  cadence) is cleared and the cell re-run from scratch;
 * **drain** — SIGTERM/SIGINT request a graceful drain: the current cell
   finishes, its outcome is journaled, and the loop exits cleanly
   (exit 0) instead of abandoning a lease.
@@ -204,6 +206,7 @@ class Worker:
         if self.checkpoint_every:
             from repro.service.checkpoint import (
                 CheckpointDivergence,
+                CheckpointMismatch,
                 clear_checkpoint,
                 run_with_checkpoints,
             )
@@ -213,10 +216,11 @@ class Worker:
                 return run_with_checkpoints(
                     spec, self.checkpoint_every, path
                 )
-            except CheckpointDivergence:
+            except (CheckpointDivergence, CheckpointMismatch):
                 # the recorded trajectory is unreproducible (code change
-                # mid-sweep, damaged file): fall back to a clean re-run
-                # rather than failing the cell
+                # mid-sweep, damaged file) or was recorded under another
+                # checkpoint format or cadence: fall back to a clean
+                # re-run rather than failing the cell
                 clear_checkpoint(path)
                 return run_with_checkpoints(
                     spec, self.checkpoint_every, path, resume=False

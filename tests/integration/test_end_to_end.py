@@ -88,12 +88,12 @@ def test_accounting_identity_full_stack():
         span = cpu.finished_at - cpu.started_at
         assert cpu.acct.total() == pytest.approx(span, rel=1e-9)
     # page-table global invariants at quiescence
-    table = m.vm.table
-    assert table.count_state(PageState.INFLIGHT) == 0
-    assert table.count_state(PageState.SWAPPING) == 0
-    assert table.count_state(PageState.RING) == 0
+    census = m.vm.table.census()
+    assert census[PageState.INFLIGHT] == 0
+    assert census[PageState.SWAPPING] == 0
+    assert census[PageState.RING] == 0
     resident = sum(len(r) for r in m.vm.resident)
-    assert table.count_state(PageState.MEMORY) == resident
+    assert census[PageState.MEMORY] == resident
 
 
 def test_full_determinism_across_runs():

@@ -117,9 +117,12 @@ def test_table_double_register_rejected():
         table.register(range(3, 8))
 
 
-def test_count_state():
+def test_census():
     table = PageTable(Engine())
     table.register(range(4))
     table[0].to_inflight(0)
-    assert table.count_state(PageState.ABSENT) == 3
-    assert table.count_state(PageState.INFLIGHT) == 1
+    census = table.census()
+    assert list(census) == list(PageState)  # every state, in enum order
+    assert census[PageState.ABSENT] == 3
+    assert census[PageState.INFLIGHT] == 1
+    assert sum(census.values()) == len(table)

@@ -77,7 +77,7 @@ def test_quiescent_state_is_conserved(app_name):
     """At quiescence no page is mid-flight and counts cover the table."""
     for machine, _res in _run_pair(app_name):
         table = machine.vm.table
-        per_state = {s: table.count_state(s) for s in PageState}
+        per_state = table.census()
         assert per_state[PageState.INFLIGHT] == 0
         assert per_state[PageState.SWAPPING] == 0
         assert sum(per_state.values()) == len(table)

@@ -148,3 +148,105 @@ def test_fingerprint_distinguishes_different_states(tmp_path):
         )
         fps[app] = seen[0]
     assert fps["sor"] != fps["fft"]
+
+
+# ------------------------------------------------------- fingerprint coverage
+class _Pause(Exception):
+    pass
+
+
+@pytest.fixture
+def paused():
+    """A small NWCache open-loop cell stopped at its first checkpoint
+    after the CPUs finished (the controllers are still writing back),
+    with its ``measured`` phase mark, swap-outs, fault latencies and
+    controller write combining already recorded."""
+    from repro.service.checkpoint import build_machine
+
+    spec = ExperimentSpec(
+        "ycsb-a", "nwcache", "naive", data_scale=0.1,
+        app_params={"warmup": 100, "requests": 600},
+    )
+    machine, workload = build_machine(spec)
+
+    def stop(m):
+        if m.cpus[3].finished_at is not None:
+            raise _Pause()
+
+    with pytest.raises(_Pause):
+        machine.run(workload, checkpoint_every=1e6, on_checkpoint=stop)
+    m = machine.metrics
+    assert "measured" in m.phases
+    assert m.swapout.n and m.fault_latency.n
+    assert any(ctrl.combining.n for ctrl in machine.controllers)
+    return machine
+
+
+def _bump_phase(machine):
+    snap = machine.metrics.phases["measured"]
+    snap[sorted(snap)[0]] += 1.0
+
+
+def _flip_page(machine):
+    from repro.osim import PageState
+
+    entry = next(
+        e for e in machine.vm.table.entries() if e.state is PageState.ABSENT
+    )
+    entry.state = PageState.MEMORY
+
+
+def _store_on_ring(machine):
+    machine.ring.channels[0]._pages[10 ** 9] = 0.0
+
+
+#: one perturbation per quantity the fingerprint covers
+TAMPERS = {
+    "events": lambda mc: setattr(
+        mc.engine, "events_processed", mc.engine.events_processed + 1
+    ),
+    "clock": lambda mc: setattr(mc.engine, "_now", mc.engine.now + 1.0),
+    "count": lambda mc: mc.metrics.counts.add("faults"),
+    "tally-swapout": lambda mc: mc.metrics.swapout.record(1.0),
+    "tally-swapout_wait": lambda mc: mc.metrics.swapout_wait.record(1.0),
+    "tally-fault_latency": lambda mc: mc.metrics.fault_latency.record(1.0),
+    "tally-disk_hit_latency": lambda mc: mc.metrics.disk_hit_latency.record(1.0),
+    "tally-ring_hit_latency": lambda mc: mc.metrics.ring_hit_latency.record(1.0),
+    "phase": _bump_phase,
+    "cpu-times": lambda mc: mc.cpus[3].acct.charge("other", 1.0),
+    "cpu-stats": lambda mc: mc.cpus[3].stats.add("barriers"),
+    "cpu-started_at": lambda mc: setattr(
+        mc.cpus[3], "started_at", mc.cpus[3].started_at + 1.0
+    ),
+    "cpu-finished_at": lambda mc: setattr(
+        mc.cpus[3], "finished_at", mc.cpus[3].finished_at + 1.0
+    ),
+    "network-bytes": lambda mc: setattr(
+        mc.network, "bytes_sent", mc.network.bytes_sent + 1
+    ),
+    "page-state": _flip_page,
+    "ring-stored": _store_on_ring,
+    "combining": lambda mc: mc.controllers[0].combining.record(2.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TAMPERS))
+def test_fingerprint_covers(paused, case):
+    before = state_fingerprint(paused)
+    assert state_fingerprint(paused) == before  # pure: no hidden state
+    TAMPERS[case](paused)
+    assert state_fingerprint(paused) != before
+
+
+@pytest.mark.parametrize("field", ["n", "_mean", "_m2", "total", "min", "max"])
+def test_fingerprint_covers_every_tally_field(paused, field):
+    tally = paused.metrics.swapout
+    before = state_fingerprint(paused)
+    setattr(tally, field, getattr(tally, field) + 1)
+    assert state_fingerprint(paused) != before
+
+
+def test_fingerprint_ignores_events_jumped(paused):
+    before = state_fingerprint(paused)
+    paused.engine.events_jumped += 1000
+    assert state_fingerprint(paused) == before

@@ -5,6 +5,8 @@ lease-expiry race is sequenced explicitly with ``now`` values rather
 than real concurrency, so the arbitration outcome is reproducible.
 """
 
+import pytest
+
 from repro.core.batch import ExperimentSpec
 from repro.core.cache import ResultCache
 from repro.core.export import result_to_full_dict
@@ -170,3 +172,56 @@ def test_worker_checkpoints_long_cells(tmp_path, monkeypatch):
     assert snaps, "the cell ran under the checkpoint protocol"
     assert not ckpt.exists(), "checkpoint is cleared once the cell is done"
     assert _full(cache.get(key))["app"] == "sor"
+
+
+def _stale_version(spec, path):
+    """A checkpoint file from an older fingerprint format."""
+    from repro.service.checkpoint import CHECKPOINT_VERSION
+    from repro.service.journal import Journal
+
+    Journal(path).append({
+        "type": "begin", "version": CHECKPOINT_VERSION - 1,
+        "key": spec.key(), "app": spec.app, "system": spec.system,
+        "every": repr(1e5),
+    })
+
+
+def _other_cadence(spec, path):
+    """A checkpoint file left by an interrupted worker with another
+    ``--checkpoint-every``."""
+    from repro.service.checkpoint import run_with_checkpoints
+
+    class Interrupt(Exception):
+        pass
+
+    def bomb(k, fp):
+        if k == 2:
+            raise Interrupt()
+
+    with pytest.raises(Interrupt):
+        run_with_checkpoints(spec, 2e5, path, on_snapshot=bomb)
+
+
+@pytest.mark.parametrize("stale", [_stale_version, _other_cadence],
+                         ids=["version", "cadence"])
+def test_mismatched_checkpoint_is_cleared_and_rerun(tmp_path, stale):
+    """A checkpoint the worker cannot resume from (another format or
+    cadence) must not fail the cell: it is cleared and the cell re-runs
+    from scratch in the same attempt."""
+    q = _queue(tmp_path)
+    cache = ResultCache(tmp_path / "cache")
+    spec = _spec()
+    (key,) = q.submit([spec])
+    ckpt = q.checkpoint_path(key)
+    stale(spec, ckpt)
+    assert ckpt.exists()
+
+    stats = Worker(q, cache=cache, worker_id="w1", poll_interval=0.01,
+                   checkpoint_every=1e5).run()
+    assert stats.executed == 1 and stats.failed == 0
+    cell = q.state().cells[key]
+    assert cell.status == DONE
+    assert cell.attempts == 1 and cell.executed_runs == 1
+    assert not cell.fail_marks
+    assert not ckpt.exists()
+    assert _full(cache.get(key)) == _full(spec.run())
