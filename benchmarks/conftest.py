@@ -9,8 +9,8 @@ The (app, system, prefetch) simulation results are cached at two levels:
 
 * per pytest session, because several tables report different statistics
   of the same runs — the first benchmark needing a batch pays for it, and
-  it pays with :func:`repro.core.batch.run_batch`, which fans the grid
-  out across one worker process per core;
+  it pays with :func:`repro.core.batch.run_batch`, which runs the grid
+  in one forked child per cell, one per core at a time;
 * persistently, via the content-addressed on-disk
   :class:`repro.core.cache.ResultCache`, so re-running the suite with an
   unchanged simulator is I/O-bound.  Set ``NWCACHE_NO_CACHE=1`` to
@@ -27,6 +27,7 @@ from typing import Dict, Tuple
 import pytest
 
 from repro.apps import APP_NAMES
+from repro.config import env_flag
 from repro.core.batch import ExperimentSpec, run_batch
 from repro.core.machine import RunResult
 
@@ -38,7 +39,7 @@ OUTPUT_DIR = Path(__file__).parent / "output"
 
 def _disk_cache_arg():
     """run_batch ``cache`` argument honoring NWCACHE_NO_CACHE."""
-    if os.environ.get("NWCACHE_NO_CACHE"):
+    if env_flag("NWCACHE_NO_CACHE", False):
         # A no-cache bench run means "trust nothing stale": also keep the
         # compiled-trace disk cache out of the picture unless the caller
         # explicitly configured it.

@@ -7,9 +7,9 @@ every table/figure with the paper's numbers alongside, plus a shape
 scorecard.
 
 The full 28-cell grid (7 apps x 2 systems x 2 prefetchers) runs through
-``repro.core.batch.run_batch``: one worker process per core (``--jobs``)
-and the content-addressed on-disk result cache (disable with
-``--no-cache``; relocate with ``NWCACHE_CACHE_DIR``).
+``repro.core.batch.run_batch``: one forked process per cell, one per
+core at a time (``--jobs``), and the content-addressed on-disk result
+cache (disable with ``--no-cache``; relocate with ``NWCACHE_CACHE_DIR``).
 
 Usage:
     python scripts/generate_experiments.py [--scale 1.0] [--jobs N]

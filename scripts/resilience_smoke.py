@@ -14,7 +14,11 @@ pytest, the way an operator would hit it:
    than once** (the killed attempt never journaled a completion);
 5. repeat 2-4 with a survivor whose ``checkpoint_every`` differs from
    the killed worker's: it cannot resume the foreign checkpoint, so it
-   must clear it and re-run the cell, again with no failed attempt.
+   must clear it and re-run the cell, again with no failed attempt;
+6. SIGKILL a ``run_batch`` from its progress callback once the first of
+   the two cells is in, rerun the same grid over the same cache, and
+   require exactly one cache hit, one simulation, and results
+   bit-identical to the reference.
 
 Pass ``--artifact-dir DIR`` to keep the survivor's journal and the
 resumed checkpoint journal for upload/inspection.  Exits non-zero on
@@ -23,12 +27,14 @@ the first violated expectation.
 
 import argparse
 import multiprocessing
+import os
 import shutil
+import signal
 import sys
 import tempfile
 from pathlib import Path
 
-from repro.core.batch import ExperimentSpec
+from repro.core.batch import ExperimentSpec, run_batch
 from repro.core.cache import ResultCache
 from repro.core.export import result_to_full_dict
 from repro.service import SweepQueue, Worker
@@ -67,9 +73,6 @@ def fingerprint(res) -> dict:
 
 def doomed_worker(root: str) -> None:
     """Claim the first cell and die by SIGKILL mid-simulation."""
-    import os
-    import signal
-
     queue = SweepQueue(root, lease_duration=1.0)
     key, spec, attempt = queue.claim("doomed")
 
@@ -163,6 +166,41 @@ def killed_sweep(
         print(f"  artifacts kept in {artifact_dir}")
 
 
+def doomed_batch(cache_root: str, tmp_root: str) -> None:
+    """Run the grid through run_batch; die by SIGKILL once a cell is in."""
+    tempfile.tempdir = tmp_root  # keep the orphaned sweep directory here
+
+    def boom(spec, res, cached):
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    run_batch(specs(), jobs=1, cache=ResultCache(cache_root), progress=boom)
+    raise AssertionError("unreachable: the batch must have died")
+
+
+def killed_batch(root: Path, keys, reference: dict) -> None:
+    """SIGKILL a run_batch after its first cell, then rerun the grid."""
+    print("killed batch (SIGKILL after the first cell, then a rerun):")
+    cache_root, tmp_root = root / "batch-cache", root / "batch-tmp"
+    tmp_root.mkdir()
+    ctx = multiprocessing.get_context("fork")
+    child = ctx.Process(target=doomed_batch,
+                        args=(str(cache_root), str(tmp_root)))
+    child.start()
+    child.join(timeout=120)
+    check(child.exitcode == -9, "the batch died by SIGKILL")
+    check(len(ResultCache(cache_root)) == 1,
+          "the dead batch cached exactly its first cell")
+
+    cache = ResultCache(cache_root)
+    results = run_batch(specs(), jobs=1, cache=cache)
+    check(cache.stats() == {"hits": 1, "misses": 1},
+          "the rerun took one cell from the cache and simulated one")
+    check(
+        {k: fingerprint(r) for k, r in zip(keys, results)} == reference,
+        "rerun results bit-identical to the uninterrupted reference",
+    )
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -192,6 +230,7 @@ def main() -> None:
                       reference, EVERY, args.artifact_dir)
         killed_sweep(root / "recadenced", root / "recadenced-cache", keys,
                      reference, 2 * EVERY, None)
+        killed_batch(root, keys, reference)
 
     print("resilience smoke: all checks passed")
 

@@ -37,7 +37,7 @@ such as ``disk_transient_rate=0.01,channel_failures=0@2e6`` (see
 environment variable supplies a default).
 
 Grid-running commands (``compare``, ``table``, ``figure``, ``sweep``,
-``batch``) accept ``--jobs N`` (worker processes; default = CPU count)
+``batch``) accept ``--jobs N`` (cells at once; default = CPU count)
 and ``--no-cache`` (skip the on-disk result cache).
 
 Besides the seven Table 2 kernels, ``run``/``compare``/``sweep``/
@@ -72,7 +72,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 def _add_batch_opts(p: argparse.ArgumentParser) -> None:
     p.add_argument("--jobs", type=int, default=None,
-                   help="worker processes (default: NWCACHE_JOBS or CPU count)")
+                   help="cells at once, each in a forked process "
+                        "(default: NWCACHE_JOBS or CPU count)")
     p.add_argument("--no-cache", action="store_true",
                    help="do not read or write the on-disk result cache")
 
@@ -382,20 +383,22 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_batch(args: argparse.Namespace) -> int:
-    from repro.core.batch import (
-        FailedSpec,
-        grid_specs,
-        resolve_cache,
-        run_batch,
-    )
-    from repro.core.machine import RunResult as _RunResult
+def _grid(args: argparse.Namespace):
+    """The cells named by ``--apps/--systems/--prefetchers`` and friends."""
+    from repro.core.batch import grid_specs
 
-    apps = args.apps or APP_NAMES
-    systems = args.systems or ["standard", "nwcache"]
-    prefetchers = args.prefetchers or [args.prefetch]
-    specs = grid_specs(apps, systems, prefetchers, data_scale=args.scale,
-                       audit=args.audit, faults=args.faults)
+    return grid_specs(
+        args.apps or APP_NAMES,
+        args.systems or ["standard", "nwcache"],
+        args.prefetchers or [args.prefetch],
+        data_scale=args.scale, audit=args.audit, faults=args.faults,
+    )
+
+
+def cmd_batch(args: argparse.Namespace) -> int:
+    from repro.core.batch import FailedSpec, resolve_cache, run_batch
+
+    specs = _grid(args)
     if args.audit and not args.no_cache:
         # Audited results carry audit counters in extras; keep them out
         # of the shared result cache.
@@ -427,7 +430,7 @@ def cmd_batch(args: argparse.Namespace) -> int:
     if args.json:
         from repro.core.export import save_full_results
 
-        ok = [r for r in results if isinstance(r, _RunResult)]
+        ok = [r for r in results if isinstance(r, RunResult)]
         n = save_full_results(args.json, ok)
         print(f"wrote {n} results to {args.json}", file=sys.stderr)
     if n_failed:
@@ -436,7 +439,7 @@ def cmd_batch(args: argparse.Namespace) -> int:
     return 0
 
 
-def _service_progress(event: str, spec, key: str) -> None:
+def _service_progress(event: str, spec, key: str, outcome) -> None:
     print(f"  {event:6s} {spec.app} {spec.system}/{spec.prefetch} "
           f"[{key[:12]}]", file=sys.stderr)
 
@@ -445,14 +448,8 @@ def cmd_service(args: argparse.Namespace) -> int:
     from repro.service import SweepQueue
 
     if args.service_command == "submit":
-        from repro.core.batch import grid_specs
-
         queue = SweepQueue(args.dir, retry_budget=args.retry_budget)
-        apps = args.apps or APP_NAMES
-        systems = args.systems or ["standard", "nwcache"]
-        prefetchers = args.prefetchers or [args.prefetch]
-        specs = grid_specs(apps, systems, prefetchers, data_scale=args.scale,
-                           audit=args.audit, faults=args.faults)
+        specs = _grid(args)
         keys = queue.submit(specs)
         for spec, key in zip(specs, keys):
             print(f"  {key[:16]} {spec.app} {spec.system}/{spec.prefetch}")
@@ -494,7 +491,8 @@ def cmd_service(args: argparse.Namespace) -> int:
         return 0
     print(summarize_status(state))
     for key, cell in state["cells"].items():
-        err = f"  ({cell['last_error']})" if cell["last_error"] else ""
+        err = (f"  ({cell['last_kind']}: {cell['last_error']})"
+               if cell["last_error"] else "")
         print(f"  {key[:16]} {cell['app']:8s} {cell['system']:8s} "
               f"{cell['status']:7s} attempts={cell['attempts']} "
               f"executed={cell['executed_runs']}{err}")

@@ -8,9 +8,9 @@ This is the primary public surface of the reproduction:
 * :func:`~repro.core.runner.run_experiment` — one (application, system,
   prefetch) cell of the paper's evaluation, with the paper's best
   min-free-frames setting applied automatically.
-* :func:`~repro.core.batch.run_batch` — fan an experiment grid out over
-  a process pool, backed by the content-addressed on-disk
-  :class:`~repro.core.cache.ResultCache`.
+* :func:`~repro.core.batch.run_batch` — run an experiment grid through
+  the sweep executor (:mod:`repro.service`), backed by the
+  content-addressed on-disk :class:`~repro.core.cache.ResultCache`.
 * :mod:`~repro.core.report` — the text tables/figures of Section 5.
 """
 

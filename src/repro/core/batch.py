@@ -7,21 +7,22 @@ order, on any worker, with bit-identical results — per-cell seeding lives
 entirely in :class:`~repro.config.SimConfig` (see
 :class:`~repro.sim.rng.RngRegistry`).
 
-:func:`run_batch` is the single entry point: it consults the
-content-addressed :class:`~repro.core.cache.ResultCache` first, runs only
-the missing cells (in parallel when ``jobs > 1``), stores the fresh
-results, and returns everything in spec order.
+:func:`run_batch` is the single entry point, a thin client of the
+sweep service (:mod:`repro.service`): one
+:class:`~repro.service.worker.Worker` serves hits from the
+content-addressed :class:`~repro.core.cache.ResultCache`, runs the
+misses (in forked children when ``jobs > 1``) and stores the fresh
+results; everything comes back in spec order.
 
 Crash safety
 ------------
-A grid run must survive any single cell going bad.  Each parallel cell
-runs in its **own** worker process with its own result pipe; a worker
-that raises, exceeds the per-cell ``timeout`` (default:
-``NWCACHE_BATCH_TIMEOUT`` seconds), or dies outright (segfault,
-OOM-kill) is retried once and, if it fails again, recorded as a
-structured :class:`FailedSpec` in its slot — every *other* cell's result
-is still returned.  Callers that need all-or-nothing semantics can pass
-results through :func:`raise_failures`.
+A grid run must survive any single cell going bad.  A cell that raises,
+exceeds the per-cell ``timeout`` (default: ``NWCACHE_BATCH_TIMEOUT``
+seconds; forked cells only), or kills its child process outright
+(segfault, OOM-kill) is retried once and, if it fails again, recorded
+as a structured :class:`FailedSpec` in its slot — every *other* cell's
+result is still returned.  Callers that need all-or-nothing semantics
+can pass results through :func:`raise_failures`.
 
 ::
 
@@ -34,12 +35,9 @@ results through :func:`raise_failures`.
 from __future__ import annotations
 
 import math
-import multiprocessing
-import multiprocessing.connection
 import os
-import time
-from collections import deque
-from dataclasses import dataclass, field
+import tempfile
+from dataclasses import dataclass, field, replace
 from typing import (
     Any,
     Callable,
@@ -150,9 +148,9 @@ class FailedSpec:
     """A grid cell whose every attempt failed; fills the cell's slot.
 
     ``kind`` distinguishes how the last attempt died: ``"error"`` (the
-    worker raised), ``"timeout"`` (exceeded the per-cell deadline and was
-    terminated), or ``"crash"`` (the worker process died without
-    reporting — segfault, OOM-kill, ``os._exit``).
+    cell raised), ``"timeout"`` (exceeded the per-cell deadline and was
+    terminated), or ``"crash"`` (its process died without reporting —
+    segfault, OOM-kill, ``os._exit`` — or its lease expired unrenewed).
     """
 
     spec: ExperimentSpec
@@ -195,30 +193,6 @@ def raise_failures(results: Sequence[BatchResult]) -> List[RunResult]:
             f"{len(failures)} batch cell(s) failed: {lines}"
         )
     return list(results)  # type: ignore[arg-type]  # no FailedSpec left
-
-
-def _run_spec(spec: ExperimentSpec) -> RunResult:
-    """Module-level worker target (must be picklable by name)."""
-    return spec.run()
-
-
-def _worker_entry(spec: ExperimentSpec, conn: Any) -> None:
-    """Worker-process entry: run one cell, send the outcome, exit.
-
-    Sends ``("ok", RunResult)`` or ``("error", message)``; a worker that
-    dies before sending anything is detected by the parent as EOF on the
-    pipe and classified as a crash.
-    """
-    try:
-        res = spec.run()
-        conn.send(("ok", res))
-    except BaseException as exc:  # noqa: BLE001 - report, don't judge
-        try:
-            conn.send(("error", f"{type(exc).__name__}: {exc}"))
-        except Exception:  # pragma: no cover - pipe already gone
-            pass
-    finally:
-        conn.close()
 
 
 def resolve_cache(cache: CacheArg) -> Optional[ResultCache]:
@@ -277,137 +251,6 @@ def batch_timeout() -> Optional[float]:
     return validate_timeout(env, "NWCACHE_BATCH_TIMEOUT")
 
 
-@dataclass
-class _Cell:
-    """Scheduler bookkeeping for one cache-miss cell."""
-
-    index: int
-    spec: ExperimentSpec
-    key: Optional[str]
-    attempts: int = 0
-    last_kind: str = "error"
-    last_error: str = ""
-
-
-def _run_misses_parallel(
-    cells: List[_Cell],
-    jobs: int,
-    timeout: Optional[float],
-    retries: int,
-    finish: Callable[[_Cell, BatchResult], None],
-) -> None:
-    """Process-per-cell scheduler with deadlines, crash detection, retry.
-
-    Unlike a ``Pool``, one worker dying (or hanging) cannot poison the
-    others: each cell owns its process and pipe, and failures are
-    confined to their own slot.
-    """
-    methods = multiprocessing.get_all_start_methods()
-    ctx = multiprocessing.get_context("fork" if "fork" in methods else "spawn")
-    pending = deque(cells)
-    running: Dict[Any, Tuple[_Cell, Any, Optional[float]]] = {}
-
-    def retry_or_fail(cell: _Cell, kind: str, error: str) -> None:
-        cell.last_kind, cell.last_error = kind, error
-        if cell.attempts <= retries:
-            pending.append(cell)
-        else:
-            finish(
-                cell,
-                FailedSpec(cell.spec, kind, error, attempts=cell.attempts),
-            )
-
-    try:
-        while pending or running:
-            while pending and len(running) < jobs:
-                cell = pending.popleft()
-                cell.attempts += 1
-                recv, send = ctx.Pipe(duplex=False)
-                proc = ctx.Process(
-                    target=_worker_entry, args=(cell.spec, send), daemon=True
-                )
-                proc.start()
-                send.close()  # parent keeps only the read end
-                deadline = (
-                    None if timeout is None else time.monotonic() + timeout
-                )
-                running[recv] = (cell, proc, deadline)
-            wait_for: Optional[float] = None
-            if timeout is not None:
-                nearest = min(d for _, _, d in running.values() if d)
-                wait_for = max(0.0, nearest - time.monotonic())
-            ready = multiprocessing.connection.wait(
-                list(running), timeout=wait_for
-            )
-            for conn in ready:
-                cell, proc, _deadline = running.pop(conn)
-                try:
-                    msg = conn.recv()
-                except (EOFError, OSError):
-                    msg = None
-                conn.close()
-                proc.join()
-                if msg is not None and msg[0] == "ok":
-                    finish(cell, msg[1])
-                elif msg is not None:
-                    retry_or_fail(cell, "error", msg[1])
-                else:
-                    retry_or_fail(
-                        cell,
-                        "crash",
-                        f"worker died without reporting "
-                        f"(exitcode {proc.exitcode})",
-                    )
-            if timeout is not None:
-                now = time.monotonic()
-                expired = [
-                    conn
-                    for conn, (_, _, d) in running.items()
-                    if d is not None and d <= now
-                ]
-                for conn in expired:
-                    cell, proc, _deadline = running.pop(conn)
-                    proc.terminate()
-                    proc.join()
-                    conn.close()
-                    retry_or_fail(
-                        cell, "timeout", f"exceeded {timeout:g}s deadline"
-                    )
-    finally:
-        # On an unexpected scheduler error, never leak worker processes.
-        for _cell, proc, _deadline in running.values():
-            proc.terminate()
-            proc.join()
-
-
-def _run_misses_serial(
-    cells: List[_Cell],
-    retries: int,
-    finish: Callable[[_Cell, BatchResult], None],
-) -> None:
-    """In-process execution with the same retry/FailedSpec contract.
-
-    No per-cell deadline here: a timeout cannot be enforced on the
-    calling process itself (use ``jobs > 1`` for that).
-    """
-    for cell in cells:
-        outcome: Optional[BatchResult] = None
-        while outcome is None:
-            cell.attempts += 1
-            try:
-                outcome = cell.spec.run()
-            except Exception as exc:  # noqa: BLE001 - confine to the cell
-                if cell.attempts <= retries:
-                    continue
-                outcome = FailedSpec(
-                    cell.spec,
-                    "error",
-                    f"{type(exc).__name__}: {exc}",
-                    attempts=cell.attempts,
-                )
-        finish(cell, outcome)
-
-
 def run_batch(
     specs: Sequence[ExperimentSpec],
     jobs: Optional[int] = None,
@@ -418,27 +261,32 @@ def run_batch(
 ) -> List[BatchResult]:
     """Run a grid of experiment cells, cached, parallel, and crash-safe.
 
+    The specs go into a :class:`~repro.service.lease.SweepQueue` in a
+    temporary directory, so they must be journal-able (see
+    :func:`~repro.service.lease.spec_to_dict`), and one
+    :class:`~repro.service.worker.Worker` settles it.
+
     Parameters
     ----------
     specs:
         The cells to evaluate; results come back in the same order.
     jobs:
-        Worker processes (default: ``NWCACHE_JOBS`` env or CPU count).
-        ``1`` forces in-process serial execution.
+        Cells run at once (default: ``NWCACHE_JOBS`` env or CPU count).
+        ``1`` runs them in-process, one after another; more runs each
+        cell in its own forked child.
     cache:
         ``None`` (default) uses the on-disk :class:`ResultCache` at its
         environment-resolved location; ``False`` disables caching; or
         pass an explicit :class:`ResultCache`.
     progress:
         Optional callback ``progress(spec, result, was_cached)`` invoked
-        as each cell completes (cached cells first, then completion
-        order); ``result`` may be a :class:`FailedSpec`.
+        as each cell settles; ``result`` may be a :class:`FailedSpec`.
     timeout:
-        Per-cell wall-clock deadline in seconds for parallel runs
+        Per-cell wall-clock deadline in seconds for forked cells
         (default: the ``NWCACHE_BATCH_TIMEOUT`` environment variable;
         unset/empty means no deadline).  Must be positive and finite —
         zero or negative values raise ``ValueError`` rather than
-        silently disabling the deadline.  A worker past its deadline is
+        silently disabling the deadline.  A child past its deadline is
         terminated and the attempt counts as a ``"timeout"`` failure.
     retries:
         How many times a failed cell is re-attempted before its slot
@@ -448,57 +296,41 @@ def run_batch(
     Returns
     -------
     One entry per spec, in spec order: the :class:`RunResult`, or a
-    :class:`FailedSpec` if every attempt at that cell failed.  A bad
-    cell never takes down the batch — see :func:`raise_failures` for
-    all-or-nothing callers.
+    :class:`FailedSpec` (around the caller's own spec object) if every
+    attempt at that cell failed.  A bad cell never takes down the batch
+    — see :func:`raise_failures` for all-or-nothing callers.
     """
+    # the service builds on this module, so it is imported on use
+    from repro.service import SweepQueue, Worker
+
     specs = list(specs)
-    store = resolve_cache(cache)
     if timeout is None:
-        timeout = batch_timeout()
-    else:
-        timeout = validate_timeout(timeout, "timeout")
+        timeout = batch_timeout()  # the Worker validates an explicit one
     if not isinstance(retries, int) or isinstance(retries, bool) or retries < 0:
         raise ValueError(
             f"retries must be a non-negative integer, got {retries!r}"
         )
+    jobs = default_jobs() if jobs is None else max(1, jobs)
     results: List[Optional[BatchResult]] = [None] * len(specs)
+    slots: Dict[str, List[int]] = {}
 
-    misses: List[_Cell] = []
-    for i, spec in enumerate(specs):
-        key = spec.key() if store is not None else None
-        hit = store.get(key) if store is not None else None
-        if hit is not None:
-            results[i] = hit
+    def settle(event: str, _spec: Any, key: str, outcome: Any) -> None:
+        if outcome is None:
+            return  # a claim, or a failed attempt that will retry
+        for i in slots[key]:
+            res = outcome
+            if isinstance(outcome, FailedSpec):
+                res = replace(outcome, spec=specs[i])
+            results[i] = res
             if progress is not None:
-                progress(spec, hit, True)
-        else:
-            misses.append(_Cell(i, spec, key))
+                progress(specs[i], res, event == "cached")
 
-    if misses:
-        def finish(cell: _Cell, res: BatchResult) -> None:
-            results[cell.index] = res
-            if (
-                store is not None
-                and cell.key is not None
-                and isinstance(res, RunResult)
-            ):
-                store.put(cell.key, res)
-            if progress is not None:
-                progress(cell.spec, res, False)
-
-        if jobs is None:
-            jobs = default_jobs()
-        if jobs <= 1:
-            # In-process; no worker isolation, so no timeout enforcement.
-            _run_misses_serial(misses, retries, finish)
-        else:
-            # Requested parallelism keeps process isolation (crash
-            # confinement + deadlines) even when only one cell missed.
-            _run_misses_parallel(
-                misses, min(jobs, len(misses)), timeout, retries, finish
-            )
-
+    with tempfile.TemporaryDirectory(prefix="repro-batch-") as root:
+        queue = SweepQueue(root, retry_budget=retries + 1, backoff_base=0)
+        for i, key in enumerate(queue.submit(specs)):
+            slots.setdefault(key, []).append(i)
+        Worker(queue, cache=cache, progress=settle, jobs=jobs,
+               timeout=timeout).run()
     return results  # type: ignore[return-value]  # every slot is filled
 
 
@@ -536,13 +368,8 @@ def run_pairs_batch(
         apps, prefetches=(prefetch,), data_scale=data_scale, **kwargs
     )
     results = run_batch(specs, jobs=jobs, cache=cache, progress=progress)
-    out: Dict[str, Tuple[BatchResult, BatchResult]] = {}
-    by_cell = {
-        (s.app, s.system): r for s, r in zip(specs, results)
+    by_cell = {(s.app, s.system): r for s, r in zip(specs, results)}
+    return {
+        app: (by_cell[app, SYSTEM_STANDARD], by_cell[app, SYSTEM_NWCACHE])
+        for app in apps
     }
-    for app in apps:
-        out[app] = (
-            by_cell[(app, SYSTEM_STANDARD)],
-            by_cell[(app, SYSTEM_NWCACHE)],
-        )
-    return out

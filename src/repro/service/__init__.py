@@ -1,13 +1,12 @@
-"""Durable sweep service: journaled work queue, leases, checkpointed runs.
+"""The sweep executor: journaled work queue, leases, checkpointed runs.
 
-The batch runner (:mod:`repro.core.batch`) makes one ``run_batch``
-*invocation* crash-safe; this package makes the **sweep itself** durable.
-All coordination state lives in an append-only, checksummed journal under
-a shared directory, so any number of workers — local processes or remote
-hosts mounting the same path — can pull cells under time-bounded leases,
-die at arbitrary points, and still converge the sweep to exactly the
-results an uninterrupted run would have produced (the content-addressed
-result cache is the dedupe layer that makes re-execution idempotent).
+Every grid runs here — ``run_batch`` (:mod:`repro.core.batch`) is a thin
+client over a temporary sweep directory.  All coordination state lives
+in an append-only, checksummed journal, so any number of workers — local
+processes or remote hosts mounting the same path — can pull cells under
+time-bounded leases, die at arbitrary points, and still converge the
+sweep to exactly the results an uninterrupted run would have produced
+(the content-addressed result cache makes re-execution idempotent).
 
 Layers, bottom up:
 
@@ -16,12 +15,12 @@ Layers, bottom up:
   (pending → leased → done/failed) and the on-disk :class:`SweepQueue`;
 * :mod:`repro.service.checkpoint` — deterministic snapshot/verify
   checkpointing for very large cells;
-* :mod:`repro.service.worker` — the leased worker loop with heartbeat
-  renewal and graceful drain;
+* :mod:`repro.service.worker` — the leased worker loop: heartbeat
+  renewal, per-cell process isolation and deadlines, graceful drain;
 * :mod:`repro.service.server` — ``repro serve``: submit/status/results
   over HTTP with streaming progress.
 
-See ``docs/robustness.md`` §4 for the protocol and a kill-and-resume
+See ``docs/robustness.md`` §3 for the protocol and a kill-and-resume
 walkthrough.
 """
 

@@ -7,10 +7,15 @@ content-addressed cache key) moves through::
 
     pending --claim--> leased --complete--> done
        ^                 |
-       |                 +--fail (attempt <= budget, backoff)--+
+       |                 +--fail (attempt < budget, backoff)---+
        +--lease expiry---+                                     |
        +-------------------------------------------------------+
                          +--fail (budget exhausted)--> failed   (terminal)
+                         +--lease expiry (budget exhausted)--> failed
+
+A failed attempt's ``kind`` is ``"error"`` (the cell raised),
+``"timeout"`` (past the worker's deadline) or ``"crash"`` (its process
+died, or its lease expired unrenewed: a lease is an attempt).
 
 Replay is **idempotent and order-tolerant** by construction: every
 transition function is monotone (``done`` is absorbing, attempts only
@@ -21,10 +26,11 @@ double-counts work and never resurrects a finished cell.  The property
 suite (``tests/property/test_journal_replay.py``) pins exactly this.
 
 Specs cross the journal as JSON (:func:`spec_to_dict` /
-:func:`spec_from_dict`).  Environment-dependent inputs that change
-*results* — the ``NWCACHE_FAULTS`` default — are resolved at submit
-time, so every worker runs the cell the submitter keyed, regardless of
-its own environment.
+:func:`spec_from_dict`), an explicit ``cfg`` included.
+Environment-dependent inputs that change *results* — the
+``NWCACHE_FAULTS`` default — are resolved at submit time, so every
+worker runs the cell the submitter keyed, regardless of its own
+environment.
 """
 
 from __future__ import annotations
@@ -38,8 +44,9 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.batch import ExperimentSpec, FailedSpec
+from repro.core.export import _config_from_dict, _config_to_dict
 from repro.core.runner import env_fault_spec
-from repro.service.journal import Journal
+from repro.service.journal import Journal, locked
 
 #: cell states
 PENDING = "pending"
@@ -50,9 +57,7 @@ FAILED = "failed"
 #: journal file name inside a sweep directory
 JOURNAL_NAME = "journal.nwj"
 
-#: spec fields carried through the journal (cfg is deliberately absent:
-#: service specs are declarative; a pickled SimConfig has no stable JSON
-#: form and would make journals machine-readable only)
+#: spec fields carried through the journal
 _SPEC_FIELDS = (
     "app",
     "system",
@@ -64,6 +69,7 @@ _SPEC_FIELDS = (
     "compiled_traces",
     "faults",
     "app_params",
+    "cfg",
 )
 
 
@@ -71,13 +77,13 @@ def spec_to_dict(spec: ExperimentSpec) -> Dict[str, Any]:
     """JSON form of a spec, with environment defaults resolved.
 
     Raises ``ValueError`` for specs the journal cannot carry faithfully:
-    an explicit ``cfg`` (no stable JSON form), a non-string fault plan,
-    or non-JSON ``app_params``.
+    a ``cfg`` with a fault plan (pass it as the ``faults`` string), a
+    non-string fault plan, or non-JSON ``app_params``.
     """
-    if spec.cfg is not None:
+    if spec.cfg is not None and spec.cfg.faults is not None:
         raise ValueError(
-            "service specs must be declarative: pass app/system/prefetch/"
-            "data_scale/min_free instead of an explicit cfg"
+            "service specs carry fault plans as the spec's faults string, "
+            "not inside an explicit cfg"
         )
     if spec.faults is not None and not isinstance(spec.faults, str):
         raise ValueError(
@@ -85,6 +91,8 @@ def spec_to_dict(spec: ExperimentSpec) -> Dict[str, Any]:
             f"got {type(spec.faults).__name__}"
         )
     d = {name: getattr(spec, name) for name in _SPEC_FIELDS}
+    if spec.cfg is not None:
+        d["cfg"] = _config_to_dict(spec.cfg)
     if d["faults"] is None:
         # resolve the submitter's env default so every worker simulates
         # (and keys) the same plan
@@ -102,7 +110,8 @@ def spec_from_dict(d: Dict[str, Any]) -> ExperimentSpec:
     if unknown:
         raise ValueError(f"unknown spec fields {sorted(unknown)}")
     kwargs = dict(d)
-    kwargs.setdefault("app_params", {})
+    if kwargs.get("cfg") is not None:
+        kwargs["cfg"] = _config_from_dict(kwargs["cfg"])
     return ExperimentSpec(**kwargs)
 
 
@@ -123,6 +132,8 @@ class SpecState:
     #: earliest wall-clock time the cell may be re-leased (backoff)
     not_before: float = 0.0
     last_error: str = ""
+    #: how the last failed attempt died: error | timeout | crash
+    last_kind: str = "error"
     #: (worker, attempt) marks — sets make duplicate records no-ops
     done_marks: Set[Tuple[str, int]] = field(default_factory=set)
     executed_marks: Set[Tuple[str, int]] = field(default_factory=set)
@@ -140,7 +151,7 @@ class SpecState:
         """The terminal-failure view of this cell (status ``failed``)."""
         return FailedSpec(
             self.to_experiment_spec(),
-            kind="error",
+            kind=self.last_kind,
             error=self.last_error or "retry budget exhausted",
             attempts=self.attempts,
         )
@@ -249,6 +260,7 @@ class SweepState:
         cell.fail_marks |= {(w, int(a)) for w, a in rec["fail"]}
         if rec.get("last_error"):
             cell.last_error = str(rec["last_error"])
+            cell.last_kind = str(rec.get("last_kind", "error"))
         status = rec["status"]
         if cell.status != DONE:
             if status == DONE:
@@ -285,6 +297,8 @@ class SweepState:
         cell.fail_marks.add(mark)
         cell.attempts = max(cell.attempts, attempt)
         cell.last_error = str(rec.get("error", ""))
+        # records from before failure kinds replay as "error"
+        cell.last_kind = str(rec.get("kind", "error"))
         if cell.status == DONE:
             return
         if rec.get("terminal", False):
@@ -348,6 +362,7 @@ def snapshot_record(cell: SpecState) -> Dict[str, Any]:
         "attempts": cell.attempts,
         "not_before": cell.not_before,
         "last_error": cell.last_error,
+        "last_kind": cell.last_kind,
         "done": sorted([w, a] for w, a in cell.done_marks),
         "executed": sorted([w, a] for w, a in cell.executed_marks),
         "fail": sorted([w, a] for w, a in cell.fail_marks),
@@ -443,34 +458,22 @@ class SweepQueue:
         return their existing key; submission is idempotent).
         """
         prepared: List[Tuple[str, Dict[str, Any]]] = []
-        keys: List[str] = []
         for spec in specs:
             if isinstance(spec, dict):
                 spec = spec_from_dict(spec)
             d = spec_to_dict(spec)
             # key the *resolved* spec so every worker agrees with it
-            key = spec_from_dict(d).key()
-            keys.append(key)
-            prepared.append((key, d))
-        from repro.service.journal import locked
-
+            prepared.append((spec_from_dict(d).key(), d))
         with locked(self.journal.lock_path):
             state = replay_state(self.journal)
-            fresh = [
-                {"type": "submit", "key": key, "spec": d}
-                for key, d in prepared
-                if key not in state.cells
-            ]
-            # dedupe within the submission itself
-            seen: Set[str] = set()
-            unique = []
-            for rec in fresh:
-                if rec["key"] not in seen:
-                    seen.add(rec["key"])
-                    unique.append(rec)
-            if unique:
-                self.journal._append_unlocked(unique)
-        return keys
+            # one record per new key, also within the submission itself
+            fresh: Dict[str, Dict[str, Any]] = {}
+            for key, d in prepared:
+                if key not in state.cells and key not in fresh:
+                    fresh[key] = {"type": "submit", "key": key, "spec": d}
+            if fresh:
+                self.journal._append_unlocked(list(fresh.values()))
+        return [key for key, _ in prepared]
 
     # ---------------------------------------------------------------- claim
     def claim(
@@ -481,8 +484,10 @@ class SweepQueue:
     ) -> Optional[Tuple[str, ExperimentSpec, int]]:
         """Lease the next runnable cell to ``worker``.
 
-        Expires stale leases first (their cells re-queue), then leases
-        the oldest pending cell whose backoff has elapsed.  Returns
+        Expires stale leases first, then leases the oldest pending cell
+        whose backoff has elapsed.  An expired lease is a lost attempt:
+        its cell re-queues, or, if that attempt was the last the retry
+        budget allows, fails terminally as a ``"crash"``.  Returns
         ``(key, spec, attempt)`` or ``None`` when nothing is claimable
         right now (the queue may still hold backed-off or leased cells —
         check :meth:`state`).
@@ -492,19 +497,25 @@ class SweepQueue:
         duration = (
             self.lease_duration if lease_duration is None else lease_duration
         )
-        from repro.service.journal import locked
-
         with locked(self.journal.lock_path):
             state = replay_state(self.journal)
             to_append: List[Dict[str, Any]] = []
             for cell in state.expired_leases(now):
-                rec = {
-                    "type": "requeue",
-                    "key": cell.key,
-                    "worker": cell.worker,
-                    "expires": cell.lease_expires,
-                    "at": now,
-                }
+                if cell.lease_attempt >= self.retry_budget:
+                    rec = self._fail_record(
+                        cell.key, cell.worker, cell.lease_attempt,
+                        f"lease of attempt {cell.lease_attempt} lost: "
+                        f"{cell.worker} stopped renewing it",
+                        now, "crash",
+                    )
+                else:
+                    rec = {
+                        "type": "requeue",
+                        "key": cell.key,
+                        "worker": cell.worker,
+                        "expires": cell.lease_expires,
+                        "at": now,
+                    }
                 to_append.append(rec)
                 state.apply(rec)
             cell = state.claimable(now)
@@ -561,29 +572,37 @@ class SweepQueue:
         attempt: int,
         error: str,
         now: Optional[float] = None,
+        kind: str = "error",
     ) -> bool:
         """Record a failed attempt; returns True when it was terminal.
 
         Non-terminal failures re-queue the cell with exponential
         backoff; once ``retry_budget`` attempts are spent the cell is a
-        terminal :data:`FAILED` (see :meth:`failed_specs`).
+        terminal :data:`FAILED` (see :meth:`failed_specs`).  ``kind``
+        says how the attempt died (see the module doc).
         """
-        if now is None:
-            now = time.time()
-        attempt = int(attempt)
-        terminal = attempt >= self.retry_budget
-        self.journal.append(
-            {
-                "type": "fail",
-                "key": key,
-                "worker": worker,
-                "attempt": attempt,
-                "error": str(error)[:2000],
-                "terminal": terminal,
-                "not_before": now + self.backoff_base * 2 ** (attempt - 1),
-            }
+        rec = self._fail_record(
+            key, worker, attempt, error,
+            time.time() if now is None else now, kind,
         )
-        return terminal
+        self.journal.append(rec)
+        return rec["terminal"]
+
+    def _fail_record(
+        self, key: str, worker: str, attempt: int, error: str, now: float,
+        kind: str,
+    ) -> Dict[str, Any]:
+        attempt = int(attempt)
+        return {
+            "type": "fail",
+            "key": key,
+            "worker": worker,
+            "attempt": attempt,
+            "kind": kind,
+            "error": str(error)[:2000],
+            "terminal": attempt >= self.retry_budget,
+            "not_before": now + self.backoff_base * 2 ** (attempt - 1),
+        }
 
     # ----------------------------------------------------------- compaction
     def maybe_compact(self) -> bool:
@@ -599,8 +618,6 @@ class SweepQueue:
         """
         if self.compact_threshold is None:
             return False
-        from repro.service.journal import locked
-
         with locked(self.journal.lock_path):
             records = self.journal.replay()
             if len(records) <= self.compact_threshold:
@@ -657,6 +674,7 @@ def asdict_state(state: SweepState) -> Dict[str, Any]:
                 "attempts": state.cells[key].attempts,
                 "executed_runs": state.cells[key].executed_runs,
                 "last_error": state.cells[key].last_error,
+                "last_kind": state.cells[key].last_kind,
             }
             for key in state.order
         },

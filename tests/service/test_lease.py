@@ -46,11 +46,43 @@ def test_spec_roundtrips_through_journal_form():
     assert back.key() == spec.key()
 
 
+def _roundtrip_cases():
+    from repro.config import SimConfig
+    from repro.core.runner import experiment_config
+
+    cases = []
+    for seed in (1999, 7):
+        # the end-to-end benchmark's kernel and YCSB cells
+        cases.append(pytest.param(ExperimentSpec(
+            "sor", "nwcache", "naive", data_scale=0.2,
+            cfg=experiment_config(0.2, seed=seed)), id=f"kernel-{seed}"))
+        cases.append(pytest.param(ExperimentSpec(
+            "ycsb-a", "standard", data_scale=0.5,
+            cfg=experiment_config(0.5, seed=seed)), id=f"ycsb-{seed}"))
+    cases.append(pytest.param(ExperimentSpec(
+        "sor", "nwcache", "optimal", data_scale=0.25, min_free=2,
+        cfg=experiment_config(0.25, min_free=2, ring_channel_bytes=16384),
+    ), id="sweep-point"))
+    cases.append(pytest.param(ExperimentSpec(
+        "fft", cfg=SimConfig.tiny(mesh_shape=(2, 2))), id="tiny-mesh"))
+    return cases
+
+
+@pytest.mark.parametrize("spec", _roundtrip_cases())
+def test_explicit_cfg_roundtrips_with_its_key(spec):
+    back = spec_from_dict(json.loads(json.dumps(spec_to_dict(spec))))
+    assert back.cfg == spec.cfg
+    assert back.key() == spec.key()
+
+
 def test_spec_to_dict_rejects_unserializable_specs():
     from repro.config import SimConfig
 
-    with pytest.raises(ValueError, match="declarative"):
-        spec_to_dict(ExperimentSpec("sor", "nwcache", cfg=SimConfig.tiny()))
+    with pytest.raises(ValueError, match="explicit cfg"):
+        spec_to_dict(ExperimentSpec(
+            "sor", "nwcache",
+            cfg=SimConfig.tiny(faults="disk_transient_rate=0.01"),
+        ))
     with pytest.raises(ValueError, match="JSON-encodable"):
         spec_to_dict(_spec(app_params={"f": object()}))
     with pytest.raises(ValueError, match="fault plans"):
@@ -168,6 +200,47 @@ def test_retry_budget_exhaustion_is_terminal(tmp_path):
     assert failed.attempts == 2 and failed.retries == 1
     assert failed.error == "second"
     assert q.claim("w1", now=1e9) is None  # terminal cells never re-lease
+
+
+def test_lost_leases_spend_the_retry_budget(tmp_path):
+    """A lease is an attempt: a cell whose holders keep dying without
+    reporting ends as a terminal crash instead of re-leasing forever."""
+    q = _queue(tmp_path, lease_duration=10.0, retry_budget=3)
+    (key,) = q.submit([_spec()])
+    for i in range(3):
+        _, _, attempt = q.claim(f"doomed-{i}", now=11.0 * i)
+        assert attempt == i + 1
+    # the last attempt's lease expires too: no fourth lease
+    assert q.claim("survivor", now=33.0) is None
+    cell = q.state().cells[key]
+    assert cell.status == FAILED and cell.attempts == 3
+    (failed,) = q.failed_specs()
+    assert failed.kind == "crash" and failed.attempts == 3
+    assert "doomed-2 stopped renewing" in failed.error
+    assert q.claim("survivor", now=1e9) is None
+
+
+def test_failure_kinds_are_journaled(tmp_path):
+    q = _queue(tmp_path, retry_budget=2)
+    (key,) = q.submit([_spec()])
+    _, _, a1 = q.claim("w1", now=0.0)
+    q.fail(key, "w1", a1, "killed", now=0.0, kind="crash")
+    assert q.state().cells[key].last_kind == "crash"
+    _, _, a2 = q.claim("w1", now=100.0)
+    assert q.fail(key, "w1", a2, "too slow", now=100.0, kind="timeout")
+    (failed,) = q.failed_specs()
+    assert (failed.kind, failed.error) == ("timeout", "too slow")
+
+
+def test_records_without_a_kind_replay_as_errors(tmp_path):
+    q = _queue(tmp_path, retry_budget=1)
+    (key,) = q.submit([_spec()])
+    _, _, attempt = q.claim("w1", now=0.0)
+    q.journal.append({"type": "fail", "key": key, "worker": "w1",
+                      "attempt": attempt, "error": "old", "terminal": True,
+                      "not_before": 0.0})
+    (failed,) = q.failed_specs()
+    assert failed.kind == "error" and failed.error == "old"
 
 
 def test_done_is_absorbing(tmp_path):

@@ -5,13 +5,27 @@ lease-expiry race is sequenced explicitly with ``now`` values rather
 than real concurrency, so the arbitration outcome is reproducible.
 """
 
+import json
+import multiprocessing
+import os
+import threading
+import time
+
 import pytest
 
+import repro.core.batch as batch_mod
+from repro.cli import main
 from repro.core.batch import ExperimentSpec
 from repro.core.cache import ResultCache
 from repro.core.export import result_to_full_dict
+from repro.core.runner import run_experiment
 from repro.service import SweepQueue, Worker
 from repro.service.lease import DONE, FAILED
+
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="worker patching relies on the fork start method",
+)
 
 SCALE = 0.05
 
@@ -38,7 +52,8 @@ def test_worker_drains_a_sweep(tmp_path):
     keys = q.submit([_spec(), _spec(app="fft")])
     events = []
     w = Worker(q, cache=cache, worker_id="w1",
-               progress=lambda ev, spec, key: events.append((ev, spec.app)))
+               progress=lambda ev, spec, key, outcome: events.append(
+                   (ev, spec.app)))
     stats = w.run()
     assert stats.executed == 2 and stats.cached == 0 and stats.failed == 0
     assert not stats.drained
@@ -140,7 +155,10 @@ def test_drain_request_stops_after_current_cell(tmp_path):
     w = Worker(q, cache=cache, worker_id="w1")
     # drain requested mid-loop (as the SIGTERM handler would): the
     # in-flight cell finishes, the next is never claimed
-    w.progress = lambda ev, spec, key: w.request_drain() if ev == "claim" else None
+    w.progress = (
+        lambda ev, spec, key, outcome:
+        w.request_drain() if ev == "claim" else None
+    )
     stats = w.run()
     assert stats.drained
     assert len(stats.keys) == 1
@@ -225,3 +243,132 @@ def test_mismatched_checkpoint_is_cleared_and_rerun(tmp_path, stale):
     assert not cell.fail_marks
     assert not ckpt.exists()
     assert _full(cache.get(key)) == _full(spec.run())
+
+
+def _slow(monkeypatch, seconds, apps=("lu",)):
+    """Make cells of ``apps`` sleep before running (forked children
+    inherit the patch)."""
+    def patched(app, *args, **kwargs):
+        if app in apps:
+            time.sleep(seconds)
+        return run_experiment(app, *args, **kwargs)
+
+    monkeypatch.setattr(batch_mod, "run_experiment", patched)
+
+
+def test_heartbeat_never_outlives_its_cell(tmp_path, monkeypatch):
+    """A renewal under way when the cell ends is waited out: no heartbeat
+    thread survives run(), and no renew record follows the outcome."""
+    q = SweepQueue(tmp_path / "sweep", lease_duration=0.15)
+    (key,) = q.submit([_spec()])
+    real_renew = SweepQueue.renew
+
+    def slow_renew(self, *args, **kwargs):
+        time.sleep(0.2)
+        real_renew(self, *args, **kwargs)
+
+    monkeypatch.setattr(SweepQueue, "renew", slow_renew)
+    _slow(monkeypatch, 0.1, apps=("sor",))
+    Worker(q, cache=False, worker_id="w1").run()
+    assert not [t for t in threading.enumerate()
+                if t.name.startswith("heartbeat-")]
+    types = [r["type"] for r in q.journal.replay() if r.get("key") == key]
+    assert "renew" in types and types[-1] == "done"
+
+
+@needs_fork
+def test_forked_worker_starts_no_thread(tmp_path, monkeypatch):
+    started = []
+    real_start = threading.Thread.start
+
+    def spy(self):
+        started.append(self.name)
+        real_start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", spy)
+    q = _queue(tmp_path)
+    q.submit([_spec(), _spec(app="fft")])
+    stats = Worker(q, cache=False, worker_id="w1", jobs=2).run()
+    assert stats.executed == 2
+    assert started == []
+
+
+@needs_fork
+def test_forked_cells_keep_their_leases(tmp_path, monkeypatch):
+    """The parent renews a forked cell that outlives lease_duration while
+    the sibling slot keeps claiming (and so expiring stale leases)."""
+    q = SweepQueue(tmp_path / "sweep", lease_duration=0.3)
+    keys = q.submit([_spec(app="lu"), _spec(), _spec(app="fft"),
+                     _spec(app="gauss"), _spec(app="radix")])
+    _slow(monkeypatch, 1.2)
+    stats = Worker(q, cache=False, worker_id="w1", jobs=2).run()
+    assert stats.executed == 5 and stats.failed == 0
+    records = q.journal.replay()
+    assert not [r for r in records if r["type"] == "requeue"]
+    slow = q.state().cells[keys[0]]
+    assert slow.status == DONE and slow.attempts == 1
+    assert any(r["type"] == "renew" and r["key"] == keys[0] for r in records)
+
+
+@needs_fork
+def test_failure_kinds_survive_compaction_and_status(tmp_path, monkeypatch,
+                                                     capsys):
+    root = tmp_path / "sweep"
+    q = SweepQueue(root, retry_budget=1)
+    crash, hang, ok = q.submit([_spec(app="lu"), _spec(app="fft"), _spec()])
+    real = run_experiment
+
+    def faulty(app, *args, **kwargs):
+        if app == "lu":
+            os._exit(13)
+        if app == "fft":
+            time.sleep(60)
+        return real(app, *args, **kwargs)
+
+    monkeypatch.setattr(batch_mod, "run_experiment", faulty)
+    stats = Worker(q, cache=False, worker_id="w1", jobs=2, timeout=1.0).run()
+    assert stats.executed == 1 and stats.failed == 2
+    kinds = {f.spec.app: (f.kind, f.error) for f in q.failed_specs()}
+    assert kinds == {
+        "lu": ("crash", "worker died without reporting (exitcode 13)"),
+        "fft": ("timeout", "exceeded 1s deadline"),
+    }
+    assert SweepQueue(root, compact_threshold=1).maybe_compact()
+    assert [r["type"] for r in q.journal.replay()] == ["snapshot"] * 3
+    assert {f.spec.app: (f.kind, f.error) for f in q.failed_specs()} == kinds
+
+    assert main(["service", "status", str(root), "--json"]) == 0
+    cells = json.loads(capsys.readouterr().out)["cells"]
+    assert cells[crash]["last_kind"] == "crash"
+    assert cells[hang]["last_kind"] == "timeout"
+    assert cells[ok]["status"] == DONE
+
+
+def test_service_cli_submit_work_status(tmp_path, monkeypatch, capsys):
+    import signal
+
+    monkeypatch.setenv("NWCACHE_CACHE_DIR", str(tmp_path / "cache"))
+    root = str(tmp_path / "sweep")
+    assert main(["service", "submit", root, "--apps", "sor",
+                 "--prefetch", "naive", "--scale", "0.05"]) == 0
+    out = capsys.readouterr().out
+    assert "2 cell(s) submitted (2 pending, 0 done)" in out
+
+    handlers = {s: signal.getsignal(s) for s in (signal.SIGINT, signal.SIGTERM)}
+    try:  # `work` turns SIGTERM/SIGINT into drains; put pytest's back
+        assert main(["service", "work", root]) == 0
+    finally:
+        for sig, handler in handlers.items():
+            signal.signal(sig, handler)
+    captured = capsys.readouterr()
+    assert "2 executed, 0 cached, 0 failed attempt(s)" in captured.out
+    assert captured.err.count("done") == 2
+
+    assert main(["service", "status", root]) == 0
+    out = capsys.readouterr().out
+    assert "2 done, 0 failed, 0 leased, 0 pending — settled" in out
+    assert main(["service", "status", root, "--json"]) == 0
+    state = json.loads(capsys.readouterr().out)
+    assert state["settled"] and state["counts"]["done"] == 2
+    assert {c["system"] for c in state["cells"].values()} == {
+        "standard", "nwcache"}
