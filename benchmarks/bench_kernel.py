@@ -42,6 +42,49 @@ def test_process_switch_throughput(benchmark):
     assert benchmark(run) == 2_000
 
 
+def test_sleep_throughput(benchmark):
+    """Processes sleeping on bare delays (``yield d``): the wait most
+    model processes make, served by their wake tokens."""
+
+    def run():
+        eng = Engine()
+
+        def proc(d):
+            for _ in range(250):
+                yield d
+
+        for k in range(8):
+            eng.process(proc(1.0 + 0.125 * k))
+        eng.run()
+        return eng.events_processed
+
+    # 8 x 250 sleeps, 8 first resumes, 8 completion events
+    assert benchmark(run) == 2_016
+
+
+def test_claim_cycle_throughput(benchmark):
+    """Claim, hold and release on shared capacity-1 resources."""
+
+    def run():
+        eng = Engine()
+        resources = [Resource(eng, capacity=1) for _ in range(4)]
+
+        def proc(k):
+            for i in range(100):
+                res = resources[(i + k) % 4]
+                tok = res.claim()
+                yield tok
+                yield 1.0
+                res.release(tok)
+
+        for k in range(8):
+            eng.process(proc(k))
+        eng.run()
+        return eng.now
+
+    assert benchmark(run) == 200.0
+
+
 def test_resource_handoff_throughput(benchmark):
     """Contended single-server queue churn."""
 

@@ -3,7 +3,10 @@
 
 Measures, without pytest overhead so numbers are comparable across runs:
 
-* event-kernel throughput (bare timeouts and process switches, events/sec);
+* event-kernel throughput (events/sec): what processes actually do —
+  sleeping on bare delays and claim/hold/release cycles on shared
+  resources — plus the older callback-less timeout drain and
+  ``Timeout``-based process switches, kept for continuity;
 * wall-clock of one end-to-end experiment cell (events/sec too);
 * serial vs parallel wall-clock for a small grid through
   ``repro.core.batch.run_batch`` (cache disabled), plus the warm-cache
@@ -33,7 +36,7 @@ from pathlib import Path
 
 from repro.core.batch import default_jobs, grid_specs, run_batch
 from repro.core.cache import ResultCache
-from repro.sim import Engine
+from repro.sim import Engine, Resource
 
 #: apps measured by the trace/pair sections (chosen to span the
 #: fault-dominated and compute-dominated ends of the suite)
@@ -63,7 +66,7 @@ def bench_timeouts(n: int = 50_000) -> float:
 
 
 def bench_process_switches(n: int = 20_000) -> float:
-    """Generator suspend/resume cycles per second."""
+    """Generator suspend/resume cycles per second, through ``Timeout``s."""
     def run():
         eng = Engine()
 
@@ -75,6 +78,50 @@ def bench_process_switches(n: int = 20_000) -> float:
         eng.run()
 
     return n / _best_of(run)
+
+
+def bench_sleeps(n: int = 48_000, procs: int = 8) -> float:
+    """Events/sec of ``procs`` processes sleeping on bare delays."""
+    per = n // procs
+
+    def run():
+        eng = Engine()
+
+        def proc(d):
+            for _ in range(per):
+                yield d
+
+        for k in range(procs):
+            eng.process(proc(1.0 + 0.125 * k))
+        eng.run()
+
+    return procs * per / _best_of(run)
+
+
+def bench_claim_cycles(
+    n: int = 24_000, procs: int = 8, n_resources: int = 4
+) -> float:
+    """Claim/hold/release cycles per second: ``procs`` processes taking
+    turns on ``n_resources`` shared capacity-1 resources."""
+    per = n // procs
+
+    def run():
+        eng = Engine()
+        resources = [Resource(eng, capacity=1) for _ in range(n_resources)]
+
+        def proc(k):
+            for i in range(per):
+                res = resources[(i + k) % n_resources]
+                tok = res.claim()
+                yield tok
+                yield 1.0
+                res.release(tok)
+
+        for k in range(procs):
+            eng.process(proc(k))
+        eng.run()
+
+    return procs * per / _best_of(run)
 
 
 def bench_cell(scale: float) -> dict:
@@ -357,6 +404,8 @@ def main() -> int:
         report["kernel"] = {
             "timeout_events_per_second": bench_timeouts(),
             "process_switches_per_second": bench_process_switches(),
+            "sleep_events_per_second": bench_sleeps(),
+            "claim_cycles_per_second": bench_claim_cycles(),
         }
     if want("cell"):
         print("benchmarking end-to-end cell ...", file=sys.stderr)
@@ -390,6 +439,8 @@ def main() -> int:
         k = report["kernel"]
         print(f"timeout throughput : {k['timeout_events_per_second']:,.0f} ev/s")
         print(f"process switches   : {k['process_switches_per_second']:,.0f} /s")
+        print(f"bare-delay sleeps  : {k['sleep_events_per_second']:,.0f} ev/s")
+        print(f"claim cycles       : {k['claim_cycles_per_second']:,.0f} /s")
     if "cell" in report:
         print(f"cell simulation    : "
               f"{report['cell']['events_per_second']:,.0f} ev/s "

@@ -273,6 +273,13 @@ class SimConfig:
             raise ValueError(
                 f"audit_every_events must be >= 1, got {self.audit_every_events}"
             )
+        # Every latency, overhead and per-access cost becomes a delay the
+        # engine sleeps or jumps over; a negative one would run the clock
+        # backwards on the jump path instead of failing.
+        for name in _NONNEGATIVE_TIMES:
+            value = getattr(self, name)
+            if not value >= 0:
+                raise ValueError(f"{name} must be >= 0, got {value!r}")
         if isinstance(self.faults, str):
             self.faults = parse_fault_spec(self.faults)
         if self.faults is not None:
@@ -349,3 +356,12 @@ class SimConfig:
             f"Disk Transfer Rate              {self.disk_mbps:.0f} MBytes/sec",
         ]
         return "\n".join(lines)
+
+
+#: the SimConfig time and cost fields that must not be negative
+_NONNEGATIVE_TIMES = tuple(
+    f.name
+    for f in dataclasses.fields(SimConfig)
+    if f.name.endswith(("_pcycles", "_usec", "_msec"))
+    or f.name == "cpu_cycles_per_access"
+)

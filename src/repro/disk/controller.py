@@ -31,7 +31,7 @@ from repro.config import SimConfig
 from repro.disk.disk import PRIO_DEMAND, PRIO_PREFETCH, PRIO_WRITEBACK, Disk
 from repro.disk.filesystem import FileSystem
 from repro.sim import Counter, Engine, Tally
-from repro.sim.events import Event, Timeout
+from repro.sim.events import Event
 
 
 class PrefetchMode(str, enum.Enum):
@@ -99,7 +99,7 @@ class DiskController:
         self._fault_injector: Any = None
         #: attempt an uncontended clock jump for the fixed controller
         #: overhead on reads (set by the machine for compiled-trace
-        #: replays; bit-identical to the evented timeout either way)
+        #: replays; bit-identical to the evented sleep either way)
         self.jump_clock = False
         engine.process(self._flusher())
 
@@ -204,7 +204,7 @@ class DiskController:
         """
         d = self.cfg.controller_overhead_pcycles
         if not (self.jump_clock and self.engine.try_jump(d, 1)):
-            yield Timeout(self.engine, d)
+            yield d
         if self.prefetch is PrefetchMode.OPTIMAL:
             # Idealized prefetching: the page is always already cached
             # (read "in the background of page read requests").
@@ -280,11 +280,9 @@ class DiskController:
             if attempt > plan.max_retries:
                 self.stats.add("io_timeouts")
                 faults.add("io_timeouts")
-                yield Timeout(self.engine, plan.retry_timeout_penalty_pcycles)
+                yield plan.retry_timeout_penalty_pcycles
                 return False
-            yield Timeout(
-                self.engine, plan.retry_backoff_pcycles * (2.0 ** (attempt - 1))
-            )
+            yield plan.retry_backoff_pcycles * (2.0 ** (attempt - 1))
 
     # ------------------------------------------------------------- internals
     def _lru_clean(self) -> Optional[int]:

@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.config import SimConfig
 from repro.sim import Engine, Resource, Tally
-from repro.sim.events import Event, Timeout
+from repro.sim.events import Event
 
 #: request priorities on the disk arm
 PRIO_DEMAND = 0
@@ -94,8 +94,8 @@ class Disk:
         if npages < 1:
             raise ValueError(f"npages must be >= 1, got {npages}")
         t_queue = self.engine.now
-        req = self.mechanism.request(priority)
-        yield req
+        tok = self.mechanism.claim(priority)
+        yield tok
         try:
             cyl = self.cylinder_of(block)
             seek = self.seek_time(abs(cyl - self.current_cylinder))
@@ -106,7 +106,7 @@ class Disk:
             service = seek + rotation + xfer
             if faults is not None:
                 service += faults.service_penalty()
-            yield Timeout(self.engine, service)
+            yield service
             self.n_ops += 1
             self.pages_moved += npages
             self.service.record(service)
@@ -116,7 +116,7 @@ class Disk:
                 return False
             return True
         finally:
-            self.mechanism.release(req)
+            self.mechanism.release(tok)
 
     def utilization(self, total_time: float) -> float:
         """Fraction of ``total_time`` the mechanism was busy."""

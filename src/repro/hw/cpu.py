@@ -10,7 +10,7 @@ driver:
 
 Pure-compute and bookkeeping time (busy cycles, TLB walk charges,
 shootdown interrupts) is accumulated *lazily* in a pending-time buffer
-and materialized as a single timeout whenever the processor is about to
+and materialized as a single sleep whenever the processor is about to
 interact with a shared resource (bus, network, page fault, barrier) or
 the buffer exceeds ``FLUSH_QUANTUM_PCYCLES``.  This keeps hot loops at
 zero events per visit while preserving the ordering of all contended
@@ -34,7 +34,7 @@ from repro.hw.cache import CacheModel
 from repro.hw.network import MeshNetwork
 from repro.osim.sync import BarrierRegistry
 from repro.sim import BandwidthPipe, Counter, Engine
-from repro.sim.events import Event, Timeout
+from repro.sim.events import Event
 
 #: pending time is flushed at least this often (pcycles)
 FLUSH_QUANTUM_PCYCLES = 20_000.0
@@ -109,7 +109,7 @@ class Cpu:
     def _charge_pending(self) -> None:
         """Charge the just-materialized pending time to its categories.
 
-        Called only after the flush timeout has elapsed (or been jumped),
+        Called only after the flush sleep has elapsed (or been jumped),
         so the account never runs ahead of the clock between events.
         """
         times = self.acct.times
@@ -121,12 +121,12 @@ class Cpu:
         self._pending_sum = 0.0
 
     def _flush(self) -> Generator[Event, Any, None]:
-        """Materialize pending time as one timeout and charge categories."""
+        """Materialize pending time as one sleep and charge categories."""
         if self._stolen_sum:
             self._fold_stolen()
         total = self._pending_sum
         if total > 0.0:
-            yield Timeout(self.engine, total)
+            yield total
             self._charge_pending()
 
     # -- execution ---------------------------------------------------------
@@ -206,7 +206,7 @@ class Cpu:
         remote_latency = self.cfg.remote_latency_pcycles
         n_visits = n_slow = n_remote = n_barriers = 0
         # Each jump-first flush block below is :meth:`_flush` with the
-        # timeout attempted as a clock jump, inlined: a flush precedes
+        # sleep attempted as a clock jump, inlined: a flush precedes
         # every contended interaction, so a sub-generator per flush was
         # a measurable share of the per-item cost.  zip instead of
         # indexing: one tuple unpack per item replaces five list
@@ -228,7 +228,7 @@ class Cpu:
                         if (
                             equeue and equeue[0][0] <= engine._now + total
                         ) or not try_jump(total, 1):
-                            yield Timeout(engine, total)
+                            yield total
                         charge_pending()
                     home = yield from resolve(node, page, is_write, acct)
                     n_slow += 1
@@ -244,23 +244,21 @@ class Cpu:
                         if (
                             equeue and equeue[0][0] <= engine._now + total
                         ) or not try_jump(total, 1):
-                            yield Timeout(engine, total)
+                            yield total
                         charge_pending()
                     t0 = engine._now
                     bus = mem_buses[home]
                     if not bus.try_jump_transfer(miss_bytes):
                         # BandwidthPipe.transfer, inlined: the same
-                        # request / timeout / release sequence without
+                        # claim / sleep / release sequence without
                         # allocating a delegate generator per miss.
-                        req = bus._server.request(0)
-                        yield req
+                        tok = bus._server.claim()
+                        yield tok
                         try:
-                            yield Timeout(
-                                engine, bus.overhead + miss_bytes / bus.rate
-                            )
+                            yield bus.overhead + miss_bytes / bus.rate
                             bus.bytes_transferred += miss_bytes
                         finally:
-                            bus._server.release(req)
+                            bus._server.release(tok)
                     if home != node:
                         if not network.try_jump_transfer(
                             home, node, miss_bytes
@@ -272,22 +270,20 @@ class Cpu:
                             if ent is None:
                                 ent = network._route_entry(home, node)
                             links, fixed, _h = ent
-                            requests = []
+                            tokens = []
                             try:
                                 for res in links:
-                                    nreq = res.request(0)
-                                    requests.append(nreq)
-                                    yield nreq
-                                yield Timeout(
-                                    engine, fixed + miss_bytes / net_link_rate
-                                )
+                                    ntok = res.claim()
+                                    tokens.append(ntok)
+                                    yield ntok
+                                yield fixed + miss_bytes / net_link_rate
                             finally:
-                                for res, nreq in zip(links, requests):
-                                    res.release(nreq)
+                                for res, ntok in zip(links, tokens):
+                                    res.release(ntok)
                             network.bytes_sent += miss_bytes
                             network.latency.record(engine._now - t0n)
                         if not try_jump(remote_latency, 1):
-                            yield Timeout(engine, remote_latency)
+                            yield remote_latency
                         n_remote += 1
                     acct_charge("other", engine._now - t0)
                 if self._pending_sum >= FLUSH_QUANTUM_PCYCLES:
@@ -298,7 +294,7 @@ class Cpu:
                         if (
                             equeue and equeue[0][0] <= engine._now + total
                         ) or not try_jump(total, 1):
-                            yield Timeout(engine, total)
+                            yield total
                         charge_pending()
             else:
                 if self._stolen_sum:
@@ -308,7 +304,7 @@ class Cpu:
                     if (
                         equeue and equeue[0][0] <= engine._now + total
                     ) or not try_jump(total, 1):
-                        yield Timeout(engine, total)
+                        yield total
                     charge_pending()
                 t0 = engine._now
                 yield barrier_get(barrier_keys[pg]).wait()
@@ -348,7 +344,7 @@ class Cpu:
                 # Remote fetch: home memory bus, then the mesh back to us.
                 yield from self.mem_buses[home].transfer(miss_bytes)
                 yield from self.network.transfer(home, self.node, miss_bytes)
-                yield self.engine.timeout(self.cfg.remote_latency_pcycles)
+                yield self.cfg.remote_latency_pcycles
                 self.stats.add("remote_fetches")
             self.acct.charge("other", self.engine.now - t0)
         if self._pending_total() >= FLUSH_QUANTUM_PCYCLES:

@@ -20,7 +20,7 @@ from typing import Any, Dict, Generator, List, Tuple
 
 from repro.config import SimConfig
 from repro.sim import Engine, Resource, Tally
-from repro.sim.events import Event, Timeout
+from repro.sim.events import Event
 
 Link = Tuple[int, int]  #: directed link (from_node, to_node)
 
@@ -131,25 +131,23 @@ class MeshNetwork:
         links, fixed, h = entry
         if not links:
             # src == dst: no links to hold, just the message overhead
-            # (serialization is zero at zero hops) — skip the request
+            # (serialization is zero at zero hops) — skip the claim
             # bookkeeping entirely.
-            yield Timeout(engine, fixed)
+            yield fixed
             self.bytes_sent += nbytes
             self.latency.record(engine._now - t0)
             return
-        requests = []
+        tokens = []
         try:
             for res in links:
-                req = res.request(priority)
-                requests.append(req)
-                yield req
+                tok = res.claim(priority)
+                tokens.append(tok)
+                yield tok
             # == base_latency(src, dst, nbytes), from the memoized parts.
-            yield Timeout(
-                engine, fixed + nbytes / self._link_rate if h else fixed
-            )
+            yield fixed + nbytes / self._link_rate if h else fixed
         finally:
-            for res, req in zip(links, requests):
-                res.release(req)
+            for res, tok in zip(links, tokens):
+                res.release(tok)
         self.bytes_sent += nbytes
         self.latency.record(engine._now - t0)
 
@@ -158,7 +156,7 @@ class MeshNetwork:
 
         Exactly equivalent to :meth:`transfer` when every link on the XY
         route is idle and the engine can leap over the occupancy window:
-        the per-link grants and the serialization timeout collapse into
+        the per-link grants and the serialization sleep collapse into
         one ``Engine.try_jump(..., hops + 1)``, each link's busy integral
         advances by the same window the release path would have added,
         and the latency tally records the identical ``now - t0``.
@@ -175,6 +173,11 @@ class MeshNetwork:
         engine = self.engine
         t0 = engine._now
         delay = fixed + nbytes / self._link_rate if h else fixed
+        # try_jump's own queue test, made here first: a queue head inside
+        # the window refuses the jump without the call.
+        queue = engine._queue
+        if queue and queue[0][0] <= t0 + delay:
+            return False
         if not engine.try_jump(delay, len(links) + 1):
             return False
         now = engine._now

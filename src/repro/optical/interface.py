@@ -138,7 +138,7 @@ class NWCacheInterface:
             while fifo and self.controller.has_room_for_write():
                 page, swapper, seq = fifo.popleft()
                 channel = self.ring.channels[ch]
-                yield self.engine.timeout(channel.read_delay(page))
+                yield channel.read_delay(page)
                 if not self.controller.has_room_for_write():
                     # A degraded (standard-path) swap-out can fill the
                     # cache while the page is read off the ring; requeue
@@ -146,7 +146,7 @@ class NWCacheInterface:
                     fifo.appendleft((page, swapper, seq))
                     break
                 self.controller.place_dirty(page)
-                yield self.engine.timeout(ack_latency)
+                yield ack_latency
                 self._ack(page, swapper)
                 self.stats.add("drained_pages")
 

@@ -30,7 +30,7 @@ from repro.optical.interface import NWCacheInterface
 from repro.optical.ring import OpticalRing
 from repro.osim.pagetable import PageEntry
 from repro.sim import BandwidthPipe, Engine
-from repro.sim.events import Event, Timeout
+from repro.sim.events import Event
 
 
 class SwapManager:
@@ -125,7 +125,7 @@ class SwapManager:
         # Every crossing below first attempts an uncontended clock jump
         # (try_jump_transfer: same clock adds, busy integrals, byte and
         # event counts as the evented sequence) and falls back to the
-        # inlined request/timeout/release path when the pipe or the
+        # inlined claim/sleep/release path when the pipe or the
         # window is contended.
         jumps = self.jump_transfers
         while True:
@@ -138,67 +138,65 @@ class SwapManager:
             # events without a delegate generator — see cpu.py).
             bus = self.mem_buses[node]
             if not (jumps and bus.try_jump_transfer(psize)):
-                req = bus._server.request(0)
-                yield req
+                tok = bus._server.claim()
+                yield tok
                 try:
-                    yield Timeout(engine, bus.overhead + psize / bus.rate)
+                    yield bus.overhead + psize / bus.rate
                     bus.bytes_transferred += psize
                 finally:
-                    bus._server.release(req)
+                    bus._server.release(tok)
             if io_node != node:
                 if not (jumps and net.try_jump_transfer(node, io_node, psize)):
                     t0n = engine._now
                     links, fixed, _h = ent_out
-                    requests = []
+                    tokens = []
                     try:
                         for res in links:
-                            nreq = res.request(0)
-                            requests.append(nreq)
-                            yield nreq
-                        yield Timeout(engine, fixed + psize / net._link_rate)
+                            ntok = res.claim()
+                            tokens.append(ntok)
+                            yield ntok
+                        yield fixed + psize / net._link_rate
                     finally:
-                        for res, nreq in zip(links, requests):
-                            res.release(nreq)
+                        for res, ntok in zip(links, tokens):
+                            res.release(ntok)
                     net.bytes_sent += psize
                     net.latency.record(engine._now - t0n)
                 bus = self.mem_buses[io_node]
                 if not (jumps and bus.try_jump_transfer(psize)):
-                    req = bus._server.request(0)
-                    yield req
+                    tok = bus._server.claim()
+                    yield tok
                     try:
-                        yield Timeout(engine, bus.overhead + psize / bus.rate)
+                        yield bus.overhead + psize / bus.rate
                         bus.bytes_transferred += psize
                     finally:
-                        bus._server.release(req)
+                        bus._server.release(tok)
             bus = self.io_buses[io_node]
             if not (jumps and bus.try_jump_transfer(psize)):
-                req = bus._server.request(0)
-                yield req
+                tok = bus._server.claim()
+                yield tok
                 try:
-                    yield Timeout(engine, bus.overhead + psize / bus.rate)
+                    yield bus.overhead + psize / bus.rate
                     bus.bytes_transferred += psize
                 finally:
-                    bus._server.release(req)
+                    bus._server.release(tok)
             if ctrl.try_accept_write(page):
                 # ACK back to the swapping node.
                 if not (jumps and net.try_jump_transfer(io_node, node, csize)):
                     t0n = engine._now
                     links, fixed, _h = ent_back
                     if not links:
-                        yield Timeout(engine, fixed)
+                        yield fixed
                     else:
-                        requests = []
+                        tokens = []
                         try:
                             for res in links:
-                                nreq = res.request(0)
-                                requests.append(nreq)
-                                yield nreq
-                            yield Timeout(
-                                engine, fixed + csize / net._link_rate
-                            )
+                                ntok = res.claim()
+                                tokens.append(ntok)
+                                yield ntok
+                            yield fixed + csize / net._link_rate
                         finally:
-                            for res, nreq in zip(links, requests):
-                                res.release(nreq)
+                            for res, ntok in zip(links, tokens):
+                                res.release(ntok)
                     net.bytes_sent += csize
                     net.latency.record(engine._now - t0n)
                 break
@@ -209,18 +207,18 @@ class SwapManager:
                 t0n = engine._now
                 links, fixed, _h = ent_back
                 if not links:
-                    yield Timeout(engine, fixed)
+                    yield fixed
                 else:
-                    requests = []
+                    tokens = []
                     try:
                         for res in links:
-                            nreq = res.request(0)
-                            requests.append(nreq)
-                            yield nreq
-                        yield Timeout(engine, fixed + csize / net._link_rate)
+                            ntok = res.claim()
+                            tokens.append(ntok)
+                            yield ntok
+                        yield fixed + csize / net._link_rate
                     finally:
-                        for res, nreq in zip(links, requests):
-                            res.release(nreq)
+                        for res, ntok in zip(links, tokens):
+                            res.release(ntok)
                 net.bytes_sent += csize
                 net.latency.record(engine._now - t0n)
             t_wait = self.engine.now
@@ -236,18 +234,18 @@ class SwapManager:
                 t0n = engine._now
                 links, fixed, _h = ent_back
                 if not links:
-                    yield Timeout(engine, fixed)
+                    yield fixed
                 else:
-                    requests = []
+                    tokens = []
                     try:
                         for res in links:
-                            nreq = res.request(0)
-                            requests.append(nreq)
-                            yield nreq
-                        yield Timeout(engine, fixed + csize / net._link_rate)
+                            ntok = res.claim()
+                            tokens.append(ntok)
+                            yield ntok
+                        yield fixed + csize / net._link_rate
                     finally:
-                        for res, nreq in zip(links, requests):
-                            res.release(nreq)
+                        for res, ntok in zip(links, tokens):
+                            res.release(ntok)
                 net.bytes_sent += csize
                 net.latency.record(engine._now - t0n)
             wait_total += self.engine.now - t_wait
@@ -301,16 +299,16 @@ class SwapManager:
         jumps = self.jump_transfers
         for bus in (self.mem_buses[node], self.io_buses[node]):
             if not (jumps and bus.try_jump_transfer(psize)):
-                req = bus._server.request(0)
-                yield req
+                tok = bus._server.claim()
+                yield tok
                 try:
-                    yield Timeout(engine, bus.overhead + psize / bus.rate)
+                    yield bus.overhead + psize / bus.rate
                     bus.bytes_transferred += psize
                 finally:
-                    bus._server.release(req)
+                    bus._server.release(tok)
         ins = channel.insertion_time()
         if not (jumps and engine.try_jump(ins, 1)):
-            yield Timeout(engine, ins)
+            yield ins
         if not channel.available():
             # The channel failed or dropped while the page was crossing
             # the buses: give the slot back and degrade.

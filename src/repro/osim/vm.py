@@ -38,7 +38,7 @@ from repro.osim.pagetable import PageState, PageTable
 from repro.osim.replacement import ReplacementPolicy, make_policy
 from repro.osim.swap import SwapManager
 from repro.sim import BandwidthPipe, Engine
-from repro.sim.events import Event, Timeout
+from repro.sim.events import Event
 
 
 class VmSystem:
@@ -235,18 +235,18 @@ class VmSystem:
                     ent = net._route_entry(node, io_node)
                 links, fixed, _h = ent
                 if not links:
-                    yield Timeout(engine, fixed)
+                    yield fixed
                 else:
-                    requests = []
+                    tokens = []
                     try:
                         for res in links:
-                            nreq = res.request(0)
-                            requests.append(nreq)
-                            yield nreq
-                        yield Timeout(engine, fixed + nbytes / net._link_rate)
+                            ntok = res.claim()
+                            tokens.append(ntok)
+                            yield ntok
+                        yield fixed + nbytes / net._link_rate
                     finally:
-                        for res, nreq in zip(links, requests):
-                            res.release(nreq)
+                        for res, ntok in zip(links, tokens):
+                            res.release(ntok)
                 net.bytes_sent += nbytes
                 net.latency.record(engine._now - t0n)
             if ctrl.prefetch is PrefetchMode.OPTIMAL:
@@ -256,29 +256,29 @@ class VmSystem:
                     jumps
                     and engine.try_jump(self.cfg.controller_overhead_pcycles, 1)
                 ):
-                    yield Timeout(engine, self.cfg.controller_overhead_pcycles)
+                    yield self.cfg.controller_overhead_pcycles
                 result = ctrl.note_optimal_read(page)
             else:
                 result = yield from ctrl.read(page)
             bus = self.io_buses[io_node]
             if not (jumps and bus.try_jump_transfer(psize)):
-                req = bus._server.request(0)
-                yield req
+                tok = bus._server.claim()
+                yield tok
                 try:
-                    yield Timeout(engine, bus.overhead + psize / bus.rate)
+                    yield bus.overhead + psize / bus.rate
                     bus.bytes_transferred += psize
                 finally:
-                    bus._server.release(req)
+                    bus._server.release(tok)
             if io_node != node:
                 bus = self.mem_buses[io_node]
                 if not (jumps and bus.try_jump_transfer(psize)):
-                    req = bus._server.request(0)
-                    yield req
+                    tok = bus._server.claim()
+                    yield tok
                     try:
-                        yield Timeout(engine, bus.overhead + psize / bus.rate)
+                        yield bus.overhead + psize / bus.rate
                         bus.bytes_transferred += psize
                     finally:
-                        bus._server.release(req)
+                        bus._server.release(tok)
                 if not (jumps and net.try_jump_transfer(io_node, node, psize)):
                     # MeshNetwork.transfer, inlined (identical events).
                     t0n = engine._now
@@ -286,27 +286,27 @@ class VmSystem:
                     if ent is None:
                         ent = net._route_entry(io_node, node)
                     links, fixed, _h = ent
-                    requests = []
+                    tokens = []
                     try:
                         for res in links:
-                            nreq = res.request(0)
-                            requests.append(nreq)
-                            yield nreq
-                        yield Timeout(engine, fixed + psize / net._link_rate)
+                            ntok = res.claim()
+                            tokens.append(ntok)
+                            yield ntok
+                        yield fixed + psize / net._link_rate
                     finally:
-                        for res, nreq in zip(links, requests):
-                            res.release(nreq)
+                        for res, ntok in zip(links, tokens):
+                            res.release(ntok)
                     net.bytes_sent += psize
                     net.latency.record(engine._now - t0n)
             bus = self.mem_buses[node]
             if not (jumps and bus.try_jump_transfer(psize)):
-                req = bus._server.request(0)
-                yield req
+                tok = bus._server.claim()
+                yield tok
                 try:
-                    yield Timeout(engine, bus.overhead + psize / bus.rate)
+                    yield bus.overhead + psize / bus.rate
                     bus.bytes_transferred += psize
                 finally:
-                    bus._server.release(req)
+                    bus._server.release(tok)
             entry.to_memory(node, frame, dirty=False)
             self.resident[node].insert(page)
             now = engine._now
@@ -339,17 +339,17 @@ class VmSystem:
         jumps = self.jump_transfers
         read_delay = channel.read_delay(page)
         if not (jumps and engine.try_jump(read_delay, 1)):
-            yield Timeout(engine, read_delay)
+            yield read_delay
         for bus in (self.io_buses[node], self.mem_buses[node]):
             if jumps and bus.try_jump_transfer(psize):
                 continue
-            req = bus._server.request(0)
-            yield req
+            tok = bus._server.claim()
+            yield tok
             try:
-                yield Timeout(engine, bus.overhead + psize / bus.rate)
+                yield bus.overhead + psize / bus.rate
                 bus.bytes_transferred += psize
             finally:
-                bus._server.release(req)
+                bus._server.release(tok)
         channel.remove(page)
         # The disk copy is stale, so the page re-enters memory dirty.
         entry.to_memory(node, frame, dirty=True)
@@ -446,11 +446,11 @@ class VmSystem:
 
     def _evict(self, node: int, page: int, entry: Any) -> Generator[Event, Any, None]:
         # The shootdown window is a plain delay: jump it when nothing
-        # else is due inside it (bit-identical to the evented timeout).
+        # else is due inside it (bit-identical to the evented sleep).
         engine = self.engine
         d = self.cfg.tlb_shootdown_pcycles
         if not (self.jump_transfers and engine.try_jump(d, 1)):
-            yield Timeout(engine, d)
+            yield d
         frame = entry.frame
         assert frame is not None
         outcome = "done"

@@ -3,7 +3,16 @@
 The engine is the only place simulated time advances.  Model code creates
 events through the engine's factory helpers (:meth:`Engine.timeout`,
 :meth:`Engine.event`, :meth:`Engine.process`) and the engine pops them in
-``(time, priority, insertion order)`` order, running their callbacks.
+``(time, insertion order)`` order, running their callbacks.
+
+A heap entry is ``(when, eid, item)``: ``eid`` is a unique, increasing
+event id, so ties at one instant resolve FIFO and the comparison never
+reaches ``item``.  ``item`` is either an :class:`Event`, whose callbacks
+run when it is popped, or a process's
+:class:`~repro.sim.process.WakeToken`, which the drain loop hands
+straight to that process's resume (a bare-delay sleep, a granted
+``Resource.claim`` or a new process's first step).  Both count as one
+processed event.
 
 Time units: the NWCache models use *processor cycles* (1 pcycle = 5 ns per
 Table 1 of the paper), but the kernel itself is unit-agnostic floats.
@@ -16,12 +25,7 @@ from itertools import count
 from typing import Any, Generator, Iterable, List, Optional, Tuple
 
 from repro.sim.events import AllOf, AnyOf, Event, Timeout
-from repro.sim.process import Process
-
-#: Priority for ordinary events.
-NORMAL = 1
-#: Priority used so that freshly-triggered (delay 0) events keep FIFO order.
-URGENT = 0
+from repro.sim.process import Process, WakeToken
 
 
 class EmptySchedule(Exception):
@@ -36,11 +40,20 @@ class Engine:
     start_time:
         Initial value of the simulation clock (default ``0.0``).
 
+    Notes
+    -----
+    The queue holds ``(when, eid, item)`` entries, where ``item`` is an
+    :class:`Event` or a process's :class:`~repro.sim.process.WakeToken`
+    (see the module docstring).  While a process's generator runs, the
+    engine records that process as :attr:`active_process`; this is how
+    :meth:`Resource.claim <repro.sim.resources.Resource.claim>` finds
+    the token to grant.
+
     Examples
     --------
     >>> eng = Engine()
     >>> def hello(eng):
-    ...     yield eng.timeout(10)
+    ...     yield 10
     ...     return eng.now
     >>> p = eng.process(hello(eng))
     >>> eng.run()
@@ -51,12 +64,12 @@ class Engine:
     __slots__ = (
         "_now", "_queue", "_eid", "events_processed", "events_jumped",
         "_tick_hook", "_tick_every", "_tick_left", "_limit",
-        "_multi_dispatch",
+        "_multi_dispatch", "_active",
     )
 
     def __init__(self, start_time: float = 0.0) -> None:
         self._now = float(start_time)
-        self._queue: List[Tuple[float, int, int, Event]] = []
+        self._queue: List[Tuple[float, int, Any]] = []
         self._eid = count()
         #: number of events processed so far (useful for perf reporting)
         self.events_processed = 0
@@ -74,6 +87,8 @@ class Engine:
         # (e.g. a barrier release resuming many processes): the clock
         # must not move until every sibling callback has observed it.
         self._multi_dispatch = False
+        # The process whose generator is running (set by Process._resume).
+        self._active: Optional[Process] = None
 
     # -- tick hook -----------------------------------------------------------
     def set_tick_hook(self, hook: Optional[Any], every: int = 1) -> None:
@@ -98,6 +113,11 @@ class Engine:
     def now(self) -> float:
         """Current simulated time."""
         return self._now
+
+    @property
+    def active_process(self) -> Optional[Process]:
+        """The process whose generator is running, or ``None`` between steps."""
+        return self._active
 
     # -- event factories ----------------------------------------------------
     def event(self) -> Event:
@@ -125,9 +145,9 @@ class Engine:
         return AnyOf(self, events)
 
     # -- scheduling ----------------------------------------------------------
-    def _schedule(self, event: Event, delay: float = 0.0, priority: int = NORMAL) -> None:
+    def _schedule(self, event: Event, delay: float = 0.0) -> None:
         """Insert a triggered event into the queue (internal)."""
-        heappush(self._queue, (self._now + delay, priority, next(self._eid), event))
+        heappush(self._queue, (self._now + delay, next(self._eid), event))
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
@@ -153,7 +173,12 @@ class Engine:
         :attr:`events_processed`, and ``n_events`` ticks of the audit
         hook's countdown — so event ordering, reporting, and audit cadence
         stay bit-identical with the fallback path.
+
+        A negative ``delay`` raises ``ValueError`` (as ``Timeout`` and a
+        bare-delay yield do) and leaves the clock where it was.
         """
+        if delay < 0:
+            raise ValueError(f"negative timeout delay: {delay!r}")
         target = self._now + delay
         queue = self._queue
         if (
@@ -179,11 +204,26 @@ class Engine:
     def step(self) -> None:
         """Process exactly one event; raise :class:`EmptySchedule` if none."""
         try:
-            when, _prio, _eid, event = heappop(self._queue)
+            when, _eid, event = heappop(self._queue)
         except IndexError:
             raise EmptySchedule() from None
         self._now = when
         self.events_processed += 1
+        if event.__class__ is WakeToken:
+            # A process's own wait came due; a retired token wakes nobody.
+            proc = event.proc
+            if proc is not None:
+                proc._resume(event)
+        else:
+            self._dispatch(event)
+        if self._tick_hook is not None:
+            self._tick_left -= 1
+            if self._tick_left <= 0:
+                self._tick_left = self._tick_every
+                self._tick_hook()
+
+    def _dispatch(self, event: Event) -> None:
+        """Run a popped event's callbacks (the non-token half of step())."""
         callbacks = event.callbacks
         event.callbacks = None
         event._processed = True
@@ -200,11 +240,6 @@ class Engine:
         # lost error — surface it loudly instead.
         if not event._ok and not event._defused:
             raise event.value
-        if self._tick_hook is not None:
-            self._tick_left -= 1
-            if self._tick_left <= 0:
-                self._tick_left = self._tick_every
-                self._tick_hook()
 
     def run(self, until: Optional[float] = None) -> None:
         """Run until the queue empties, or until time ``until`` is reached.
@@ -241,13 +276,21 @@ class Engine:
         # processed count is flushed back on exit.
         queue = self._queue
         pop = heappop
+        token_cls = WakeToken
         processed = 0
         if until is None:
             try:
                 while queue:
-                    when, _prio, _eid, event = pop(queue)
+                    when, _eid, event = pop(queue)
                     self._now = when
                     processed += 1
+                    # Most entries are wake tokens (sleeps, claim grants):
+                    # resume their process directly, no callback list.
+                    if event.__class__ is token_cls:
+                        proc = event.proc
+                        if proc is not None:
+                            proc._resume(event)
+                        continue
                     callbacks = event.callbacks
                     event.callbacks = None
                     event._processed = True
@@ -270,9 +313,14 @@ class Engine:
         else:
             try:
                 while queue and queue[0][0] <= limit:
-                    when, _prio, _eid, event = pop(queue)
+                    when, _eid, event = pop(queue)
                     self._now = when
                     processed += 1
+                    if event.__class__ is token_cls:
+                        proc = event.proc
+                        if proc is not None:
+                            proc._resume(event)
+                        continue
                     callbacks = event.callbacks
                     event.callbacks = None
                     event._processed = True

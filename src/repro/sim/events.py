@@ -23,11 +23,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 _PENDING = object()  #: sentinel: event not yet triggered
 
-#: Engine.NORMAL, duplicated here because the engine imports this module.
-#: The hottest trigger paths below push onto the engine queue directly
-#: (inlined Engine._schedule) instead of paying a method call per event.
-_NORMAL = 1
-
 
 class Event:
     """A one-shot occurrence in simulated time.
@@ -87,8 +82,9 @@ class Event:
             raise RuntimeError(f"{self!r} has already been triggered")
         self._ok = True
         self._value = value
+        # Engine._schedule, inlined: succeed() is a hot trigger path.
         engine = self.engine
-        heappush(engine._queue, (engine._now, _NORMAL, next(engine._eid), self))
+        heappush(engine._queue, (engine._now, next(engine._eid), self))
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -112,16 +108,21 @@ class Event:
 
 
 class Timeout(Event):
-    """An event that fires ``delay`` time units after creation."""
+    """An event that fires ``delay`` time units after creation.
+
+    A process that only needs to sleep yields the bare delay instead
+    (``yield d``), which wakes it through its wake token without building
+    an event; ``Timeout`` is for waits that are composed (``AnyOf``,
+    ``AllOf``) or shared.
+    """
 
     __slots__ = ("delay",)
 
     def __init__(self, engine: "Engine", delay: float, value: Any = None) -> None:
         if delay < 0:
             raise ValueError(f"negative timeout delay: {delay!r}")
-        # Flattened Event.__init__: timeouts are the most common event in
-        # a run (every flush, transfer, and latency charge makes one), so
-        # each slot is written exactly once and the super() call skipped.
+        # Flattened Event.__init__: each slot is written exactly once and
+        # the super() call skipped.
         self.engine = engine
         self.callbacks = []
         self._value = value
@@ -129,9 +130,7 @@ class Timeout(Event):
         self._processed = False
         self._defused = False
         self.delay = delay
-        heappush(
-            engine._queue, (engine._now + delay, _NORMAL, next(engine._eid), self)
-        )
+        heappush(engine._queue, (engine._now + delay, next(engine._eid), self))
 
 
 class _Condition(Event):

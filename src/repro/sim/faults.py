@@ -30,7 +30,7 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Any, Generator, List, Optional, Tuple
 
-from repro.sim.events import Event, Timeout
+from repro.sim.events import Event
 from repro.sim.stats import Counter
 
 #: (index, time_pcycles) schedule entry type for permanent faults
@@ -331,7 +331,7 @@ class FaultInjector:
     def _disk_degrade_proc(
         self, idx: int, t: float
     ) -> Generator[Event, Any, None]:
-        yield Timeout(self.engine, max(0.0, t))
+        yield max(0.0, t)
         if self._stopped:
             return
         disk = self._machine.disks[idx]
@@ -342,7 +342,7 @@ class FaultInjector:
     def _channel_failure_proc(
         self, idx: int, t: float
     ) -> Generator[Event, Any, None]:
-        yield Timeout(self.engine, max(0.0, t))
+        yield max(0.0, t)
         if self._stopped:
             return
         channel = self._machine.ring.channels[idx]
@@ -356,10 +356,7 @@ class FaultInjector:
         rng = self.rng.stream("faults/channel-drop")
         ring = self._machine.ring
         while True:
-            yield Timeout(
-                self.engine,
-                float(rng.exponential(plan.channel_drop_interval_pcycles)),
-            )
+            yield float(rng.exponential(plan.channel_drop_interval_pcycles))
             if self._stopped:
                 return
             live = [ch for ch in ring.channels if not ch.failed]
@@ -376,10 +373,7 @@ class FaultInjector:
         ring = self._machine.ring
         vm = self._machine.vm
         while True:
-            yield Timeout(
-                self.engine,
-                float(rng.exponential(plan.ring_page_loss_interval_pcycles)),
-            )
+            yield float(rng.exponential(plan.ring_page_loss_interval_pcycles))
             if self._stopped:
                 return
             pages = sorted(
@@ -397,10 +391,7 @@ class FaultInjector:
         rng = self.rng.stream("faults/node-stall")
         cpus = self._machine.cpus
         while True:
-            yield Timeout(
-                self.engine,
-                float(rng.exponential(plan.node_stall_interval_pcycles)),
-            )
+            yield float(rng.exponential(plan.node_stall_interval_pcycles))
             if self._stopped:
                 return
             cpu = cpus[int(rng.integers(len(cpus)))]
@@ -416,18 +407,15 @@ class FaultInjector:
         if not links:
             return
         while True:
-            yield Timeout(
-                self.engine,
-                float(rng.exponential(plan.link_stall_interval_pcycles)),
-            )
+            yield float(rng.exponential(plan.link_stall_interval_pcycles))
             if self._stopped:
                 return
             res = links[int(rng.integers(len(links)))]
-            req = res.request(0)
-            yield req
+            tok = res.claim()
+            yield tok
             try:
                 if not self._stopped:
                     self.record("hw", "link_stall", res.name)
-                    yield Timeout(self.engine, plan.link_stall_pcycles)
+                    yield plan.link_stall_pcycles
             finally:
-                res.release(req)
+                res.release(tok)

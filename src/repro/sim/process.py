@@ -1,9 +1,22 @@
 """Generator-backed simulation processes.
 
-A :class:`Process` wraps a Python generator.  Each ``yield``ed object must
-be an :class:`~repro.sim.events.Event`; the process suspends until that
-event is processed and then resumes with the event's value (or with the
-event's exception thrown into the generator if the event failed).
+A :class:`Process` wraps a Python generator.  Each ``yield``ed object
+suspends the process until it is due:
+
+* an :class:`~repro.sim.events.Event` — resume with the event's value
+  (or with its exception thrown into the generator if the event failed)
+  once the event is processed;
+* a plain ``int`` or ``float`` delay ``d`` (not ``bool``) — sleep for
+  ``d`` time units, exactly like yielding ``Timeout(engine, d)`` but
+  without building one (a negative ``d`` is thrown back into the
+  generator as ``ValueError``);
+* the process's own :class:`WakeToken`, as returned by
+  :meth:`Resource.claim <repro.sim.resources.Resource.claim>` — resume
+  once the claim is granted.
+
+Sleeps and claims only ever wake the process that made them, so instead
+of an event per wait each process owns one reusable wake token, and the
+engine's heap holds that token directly: popping it resumes the process.
 
 A process is itself an event: it fires with the generator's return value
 when the generator finishes, so processes can ``yield`` other processes to
@@ -12,11 +25,10 @@ join them.
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import TYPE_CHECKING, Any, Generator, Optional
 
-from heapq import heappush
-
-from repro.sim.events import _NORMAL, Event
+from repro.sim.events import Event
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.engine import Engine
@@ -29,11 +41,11 @@ def _kick(
     value: Any,
     defused: bool = False,
 ) -> None:
-    """Schedule a pre-triggered one-callback event (the resume hot path).
+    """Schedule a pre-triggered one-callback event at the current time.
 
-    Builds the event via ``__new__`` so the six slots are written exactly
-    once — process switching creates one of these per suspension, which
-    makes this constructor one of the kernel's hottest allocations.
+    Used for the rare resumes a wake token cannot carry: an interrupt
+    and a yield of an already-processed event, both of which deliver a
+    value (or an exception) of their own.
     """
     kick = Event.__new__(Event)
     kick.engine = engine
@@ -42,7 +54,34 @@ def _kick(
     kick._ok = ok
     kick._processed = False
     kick._defused = defused
-    heappush(engine._queue, (engine._now, _NORMAL, next(engine._eid), kick))
+    heappush(engine._queue, (engine._now, next(engine._eid), kick))
+
+
+class WakeToken:
+    """A process's reusable heap entry for waits that wake only it.
+
+    The engine resumes :attr:`proc` when it pops the token (with
+    ``None``, as a fired ``Timeout`` or granted ``Request`` would).  A
+    token retired by :meth:`Process.interrupt` carries ``proc = None``
+    and wakes nobody, though popping it still counts as an event.
+    ``_key`` orders the token in a resource's wait queue.  Tokens are
+    not events: only the owning process may yield its token, and only
+    right after :meth:`Resource.claim
+    <repro.sim.resources.Resource.claim>` handed it out.
+    """
+
+    __slots__ = ("proc", "_key")
+
+    #: what the woken process receives: a successful wait with no value
+    _ok = True
+    _value = None
+
+    def __init__(self, proc: Optional["Process"]) -> None:
+        self.proc = proc
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        name = self.proc.name if self.proc is not None else "retired"
+        return f"<WakeToken {name} at {id(self):#x}>"
 
 
 class Interrupt(Exception):
@@ -58,9 +97,23 @@ class Interrupt(Exception):
 
 
 class Process(Event):
-    """A running simulation process (also its own completion event)."""
+    """A running simulation process (also its own completion event).
 
-    __slots__ = ("_generator", "_send", "_throw", "_target", "name")
+    Each process owns one :class:`WakeToken` for its whole life: its
+    first resume, every bare-delay sleep and every :meth:`Resource.claim
+    <repro.sim.resources.Resource.claim>` push or queue that token
+    instead of allocating an event.  Every push draws its event id
+    exactly when the ``Timeout``, ``Request`` or kick event it replaces
+    would have, so trajectories are identical either way.
+    The token is dropped when the generator ends: ``Machine.run`` runs
+    with the cyclic garbage collector off, and the process/token
+    reference cycle would otherwise keep every finished process alive.
+    """
+
+    __slots__ = (
+        "_generator", "_send", "_throw", "_target", "_token", "name",
+        "__weakref__",
+    )
 
     def __init__(
         self,
@@ -78,8 +131,10 @@ class Process(Event):
         self._throw = generator.throw
         self._target: Optional[Event] = None
         self.name = name or getattr(generator, "__name__", "process")
-        # Bootstrap: resume once at the current time.
-        _kick(engine, self._resume, True, None)
+        # Bootstrap: the token's first trip resumes the generator at the
+        # current time.
+        token = self._token = WakeToken(self)
+        heappush(engine._queue, (engine._now, next(engine._eid), token))
 
     # -- state ---------------------------------------------------------------
     @property
@@ -89,65 +144,110 @@ class Process(Event):
 
     @property
     def target(self) -> Optional[Event]:
-        """The event this process is currently waiting on (if suspended)."""
+        """The event this process is waiting on, if it waits on one.
+
+        ``None`` while the process sleeps on a bare delay or waits for a
+        claim (those waits are its wake token, not an event).
+        """
         return self._target
 
     # -- control -------------------------------------------------------------
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupt` into the process at the current time.
 
-        The event the process was waiting on is abandoned (the process is
-        detached from its callback list); the process must handle the
-        interrupt or terminate.
+        Whatever the process was waiting on is abandoned: it is detached
+        from an event's callback list, and its wake token is retired (a
+        sleep or claim still pending on the old token wakes nobody when
+        it comes due; the process continues with a fresh token).  The
+        process must handle the interrupt or terminate.
         """
         if not self.is_alive:
             raise RuntimeError(f"{self.name}: cannot interrupt a finished process")
-        if self._target is not None and self._target.callbacks is not None:
+        target = self._target
+        if target is not None and target.callbacks is not None:
             try:
-                self._target.callbacks.remove(self._resume)
+                target.callbacks.remove(self._resume)
             except ValueError:  # pragma: no cover - already detached
                 pass
         self._target = None
+        self._token.proc = None
+        self._token = WakeToken(self)
         # defused: the throw in _resume consumes the failure
         _kick(self.engine, self._resume, False, Interrupt(cause), defused=True)
 
     # -- engine callback -------------------------------------------------------
-    def _resume(self, event: Event) -> None:
-        """Advance the generator with ``event``'s outcome (engine callback)."""
+    def _resume(self, event: Any) -> None:
+        """Advance the generator with ``event``'s outcome.
+
+        ``event`` is an :class:`Event` (as a callback) or this process's
+        :class:`WakeToken` (handed over by the engine's drain loop).
+        """
         self._target = None
+        engine = self.engine
+        engine._active = self
         try:
             if event._ok:
-                next_event = self._send(event._value)
+                nxt = self._send(event._value)
             else:
                 event._defused = True
-                next_event = self._throw(event._value)
+                nxt = self._throw(event._value)
         except StopIteration as stop:
+            engine._active = None
+            self._token = None
             self.succeed(stop.value)
             return
         except BaseException as exc:
             # Propagate model bugs loudly: fail our completion event so that
             # joiners see it; if nobody joins, Engine.step re-raises.
+            engine._active = None
+            self._token = None
             self._ok = False
             self._value = exc
-            self.engine._schedule(self)
+            engine._schedule(self)
+            return
+        engine._active = None
+        # A bare delay is the commonest yield: exact int/float first.
+        cls = nxt.__class__
+        if (cls is float or cls is int) and nxt >= 0:
+            heappush(
+                engine._queue, (engine._now + nxt, next(engine._eid), self._token)
+            )
+            return
+        if nxt is self._token:
+            # Resource.claim already pushed or queued the token.
             return
         try:
-            # Duck-typed in place of an isinstance check: this runs for
-            # every suspension in the simulation, and anything without
-            # event slots surfaces as the same TypeError below.
-            processed = next_event._processed
+            # Duck-typed in place of an isinstance check: anything without
+            # event slots goes to _yield_other below.
+            processed = nxt._processed
         except AttributeError:
-            raise TypeError(
-                f"{self.name} yielded {next_event!r}; processes may only "
-                "yield Event instances"
-            ) from None
+            self._yield_other(nxt)
+            return
         if processed:
             # Already fired: resume immediately (at the current time).
-            ok = next_event._ok
-            _kick(
-                self.engine, self._resume, ok, next_event._value,
-                defused=not ok,
-            )
+            ok = nxt._ok
+            _kick(engine, self._resume, ok, nxt._value, defused=not ok)
         else:
-            self._target = next_event
-            next_event.callbacks.append(self._resume)
+            self._target = nxt
+            nxt.callbacks.append(self._resume)
+
+    def _yield_other(self, nxt: Any) -> None:
+        """The rare yields: a negative delay, a number subclass (a numpy
+        float, say), or something that is no event at all."""
+        if nxt.__class__ is bool or not isinstance(nxt, (int, float)):
+            raise TypeError(
+                f"{self.name} yielded {nxt!r}; processes may only yield "
+                "Event instances, int/float delays, or their own claim"
+            )
+        if nxt >= 0:
+            engine = self.engine
+            heappush(
+                engine._queue, (engine._now + nxt, next(engine._eid), self._token)
+            )
+            return
+        # Thrown into the generator at once, where Timeout(engine, d)
+        # would have raised; nothing is scheduled.
+        thrown = Event(self.engine)
+        thrown._ok = False
+        thrown._value = ValueError(f"negative timeout delay: {nxt!r}")
+        self._resume(thrown)

@@ -11,15 +11,19 @@ from bisect import insort
 from collections import deque
 from heapq import heappush
 from itertools import count
-from typing import TYPE_CHECKING, Any, Callable, Deque, Generator, List, Optional
+from typing import TYPE_CHECKING, Any, Deque, Generator, List, Optional, Union
 
-from repro.sim.events import _NORMAL, _PENDING, Event, Timeout
+from repro.sim.events import Event
+from repro.sim.process import WakeToken
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.engine import Engine
 
+#: what a resource's ``users`` and ``queue`` hold
+Claim = Union["Request", WakeToken]
 
-def _request_key(req: "Request") -> "tuple[int, int]":
+
+def _request_key(req: Claim) -> "tuple[int, int]":
     return req._key
 
 
@@ -29,18 +33,10 @@ class Request(Event):
     __slots__ = ("resource", "priority", "_key")
 
     def __init__(self, resource: "Resource", priority: int) -> None:
-        # Flattened Event.__init__: one Request is allocated per resource
-        # claim, which makes this one of the kernel's hottest constructors
-        # (writing the slots directly saves the chained super() call).
         # ``_key`` is assigned by Resource.request only when the claim
         # actually queues: tickets drawn at queue time still reflect
-        # arrival order, and the common immediate grant skips the draw.
-        self.engine = resource.engine
-        self.callbacks = []
-        self._value = _PENDING
-        self._ok = True
-        self._processed = False
-        self._defused = False
+        # arrival order, and an immediate grant skips the draw.
+        super().__init__(resource.engine)
         self.resource = resource
         self.priority = priority
 
@@ -54,17 +50,30 @@ class Request(Event):
 class Resource:
     """A server with ``capacity`` identical units and a FIFO wait queue.
 
-    Requests with a lower ``priority`` value are granted first; ties are
+    Claims with a lower ``priority`` value are granted first; ties are
     broken FIFO.  The default priority is 0, so a plain resource is a pure
     FIFO server.
+
+    A unit is claimed one of two ways, and both kinds of claim share one
+    ``(priority, arrival)`` wait queue:
+
+    * :meth:`claim` — the running process's own wait: the grant is its
+      :class:`~repro.sim.process.WakeToken`, which the process yields at
+      once and later passes to :meth:`release`.  No event is built.
+    * :meth:`request` — a :class:`Request` event, for claims that must be
+      composed with other events, held across processes, or used as a
+      context manager.
 
     Examples
     --------
     >>> def worker(eng, res, log):
-    ...     with res.request() as req:
-    ...         yield req
-    ...         yield eng.timeout(5)
+    ...     tok = res.claim()
+    ...     yield tok
+    ...     try:
+    ...         yield 5
     ...         log.append(eng.now)
+    ...     finally:
+    ...         res.release(tok)
     """
 
     __slots__ = (
@@ -79,8 +88,8 @@ class Resource:
         self.capacity = capacity
         self.name = name
         self._ticket = count()
-        self.users: List[Request] = []
-        self.queue: List[Request] = []
+        self.users: List[Claim] = []
+        self.queue: List[Claim] = []
         #: total time-integrated busy units (for utilization reporting)
         self._busy_integral = 0.0
         self._last_change = engine.now
@@ -105,42 +114,55 @@ class Resource:
 
     # -- protocol ------------------------------------------------------------
     def request(self, priority: int = 0) -> Request:
-        """Claim one unit; the returned event fires when granted."""
-        # Request.__init__, inlined via __new__ (this is the only place
-        # requests are built, and the call frame itself shows up on
-        # multi-million-claim runs).
-        engine = self.engine
-        req = Request.__new__(Request)
-        req.engine = engine
-        req.callbacks = []
-        req._value = _PENDING
-        req._ok = True
-        req._processed = False
-        req._defused = False
-        req.resource = self
-        req.priority = priority
-        # _account(), inlined (hot path); skipping the zero-width update
-        # leaves the integral bit-identical (x + 0.0 == x here).
-        now = engine._now
-        if now != self._last_change:
-            self._busy_integral += len(self.users) * (now - self._last_change)
-            self._last_change = now
+        """Claim one unit as an event that fires when granted."""
+        req = Request(self, priority)
+        self._account()
         if len(self.users) < self.capacity and not self.queue:
             self.users.append(req)
-            # req.succeed(), inlined: a fresh Request cannot have been
-            # triggered, so the guard and the value write collapse.
-            req._value = None
-            heappush(
-                engine._queue, (now, _NORMAL, next(engine._eid), req)
-            )
+            req.succeed()
         else:
             req._key = (priority, next(self._ticket))
             insort(self.queue, req, key=_request_key)
         return req
 
-    def release(self, request: Request) -> None:
-        """Return a previously granted unit and wake the next waiter."""
-        now = self.engine._now
+    def claim(self, priority: int = 0) -> WakeToken:
+        """Claim one unit for the running process; yield the result at once.
+
+        Returns the process's :class:`~repro.sim.process.WakeToken`,
+        already granted (pushed on the engine queue at the current time,
+        with the event id :meth:`request` would have drawn) or queued
+        behind the waiters in ``(priority, arrival)`` order.  The process
+        must ``yield`` it straight away — it resumes when the unit is its
+        — and hand it to :meth:`release` when done.  Raises
+        ``RuntimeError`` outside a running process.
+        """
+        engine = self.engine
+        proc = engine._active
+        if proc is None:
+            raise RuntimeError(
+                f"{self.name or 'resource'}: claim() outside a running process"
+            )
+        token = proc._token
+        # request() minus the Request: same accounting, grant and ticket.
+        # _account() is inlined; skipping its zero-width update leaves the
+        # integral bit-identical (x + 0.0 == x here).
+        now = engine._now
+        if now != self._last_change:
+            self._busy_integral += len(self.users) * (now - self._last_change)
+            self._last_change = now
+        if len(self.users) < self.capacity and not self.queue:
+            self.users.append(token)
+            heappush(engine._queue, (now, next(engine._eid), token))
+        else:
+            token._key = (priority, next(self._ticket))
+            insort(self.queue, token, key=_request_key)
+        return token
+
+    def release(self, request: Claim) -> None:
+        """Return a granted unit (a :class:`Request` or a claim's token)
+        and wake the next waiter."""
+        engine = self.engine
+        now = engine._now
         if now != self._last_change:
             self._busy_integral += len(self.users) * (now - self._last_change)
             self._last_change = now
@@ -157,7 +179,10 @@ class Resource:
         while self.queue and len(self.users) < self.capacity:
             nxt = self.queue.pop(0)
             self.users.append(nxt)
-            nxt.succeed()
+            if nxt.__class__ is WakeToken:
+                heappush(engine._queue, (now, next(engine._eid), nxt))
+            else:
+                nxt.succeed()
 
 
 class Store:
@@ -265,14 +290,14 @@ class BandwidthPipe:
         """Generator: queue for the pipe, hold it for the transfer time."""
         if nbytes < 0:
             raise ValueError(f"nbytes must be >= 0, got {nbytes}")
-        req = self._server.request(priority)
-        yield req
+        tok = self._server.claim(priority)
+        yield tok
         try:
             # busy_time(nbytes), inlined on the per-transfer hot path.
-            yield Timeout(self.engine, self.overhead + nbytes / self.rate)
+            yield self.overhead + nbytes / self.rate
             self.bytes_transferred += nbytes
         finally:
-            self._server.release(req)
+            self._server.release(tok)
 
     def try_jump_transfer(self, nbytes: float) -> bool:
         """Complete an uncontended transfer as a clock jump, if possible.
@@ -284,14 +309,20 @@ class BandwidthPipe:
         advanced by the same ``now - t0`` the release path would have
         added.  Returns False (no state touched) when the pipe is busy or
         the window is contended; the caller must then yield through
-        :meth:`transfer`'s request/timeout/release sequence.
+        :meth:`transfer`'s claim/sleep/release sequence.
         """
         srv = self._server
         if srv.users or srv.queue:
             return False
         engine = self.engine
         t0 = engine._now
-        if not engine.try_jump(self.overhead + nbytes / self.rate, 2):
+        delay = self.overhead + nbytes / self.rate
+        # try_jump's own queue test, made here first: a queue head inside
+        # the window refuses the jump without the call.
+        queue = engine._queue
+        if queue and queue[0][0] <= t0 + delay:
+            return False
+        if not engine.try_jump(delay, 2):
             return False
         now = engine._now
         srv._busy_integral += now - t0

@@ -105,3 +105,30 @@ def test_tiny_preset_is_small():
     tiny = SimConfig.tiny()
     assert tiny.n_nodes == 4
     assert tiny.frames_per_node == 8
+
+
+_TIME_FIELDS = [
+    "tlb_miss_pcycles", "tlb_shootdown_pcycles", "interrupt_pcycles",
+    "router_delay_pcycles", "message_overhead_pcycles", "ring_round_trip_usec",
+    "seek_min_msec", "seek_max_msec", "rotational_msec",
+    "controller_overhead_pcycles", "cpu_cycles_per_access",
+    "remote_latency_pcycles",
+]
+
+
+@pytest.mark.parametrize("name", _TIME_FIELDS)
+def test_validation_rejects_negative_times_and_costs(name):
+    with pytest.raises(ValueError, match=name):
+        SimConfig(**{name: -1.0})
+    with pytest.raises(ValueError, match=name):
+        SimConfig.tiny(**{name: -50.0})
+    assert getattr(SimConfig(**{name: 0.0}), name) == 0.0
+
+
+def test_negative_latency_cannot_reach_the_compiled_path():
+    # dataclasses.replace re-validates: a negative remote latency used to
+    # run the compiled replay's clock backwards and return a result.
+    import dataclasses
+
+    with pytest.raises(ValueError, match="remote_latency_pcycles"):
+        dataclasses.replace(SimConfig.tiny(), remote_latency_pcycles=-50.0)

@@ -142,3 +142,14 @@ def test_xy_routing_cannot_deadlock_under_crossing_traffic():
                 eng.process(go(s, d))
     eng.run()
     assert len(done) == 16 * 15
+
+
+def test_jump_transfer_rejects_a_negative_window():
+    eng, cfg, net = make_net(8)
+    t0 = eng.now
+    huge = 10 * cfg.link_rate * (
+        cfg.message_overhead_pcycles + 8 * cfg.router_delay_pcycles
+    )
+    with pytest.raises(ValueError, match="negative timeout delay"):
+        net.try_jump_transfer(0, 7, -huge)
+    assert eng.now == t0 and net.bytes_sent == 0

@@ -103,3 +103,53 @@ def test_tally_merge_equals_concatenation(xs, ys):
     assert a.n == ref.n
     assert abs(a.mean - ref.mean) < 1e-6
     assert a.min == ref.min and a.max == ref.max
+
+
+# A step is a sleep or a claim-hold-release on one of three capacity-1
+# resources; delays mix ints and floats (both are legal bare delays).
+_delay = st.one_of(
+    st.integers(min_value=0, max_value=6),
+    st.floats(min_value=0, max_value=6, allow_nan=False),
+)
+_step = st.one_of(
+    st.tuples(st.just("sleep"), _delay),
+    st.tuples(
+        st.just("claim"), st.integers(min_value=0, max_value=2),
+        st.integers(min_value=0, max_value=2), _delay,
+    ),
+)
+
+
+def _run_program(program, tokens):
+    """Run ``program`` with wake tokens (``yield d`` / ``claim()``) or
+    with events (``Timeout`` / ``request()``); return the step log and
+    the event count."""
+    eng = Engine()
+    resources = [Resource(eng, capacity=1) for _ in range(3)]
+    log = []
+
+    def proc(pid, steps):
+        for i, step in enumerate(steps):
+            if step[0] == "sleep":
+                yield step[1] if tokens else eng.timeout(step[1])
+            else:
+                _, r, prio, hold = step
+                res = resources[r]
+                grant = res.claim(prio) if tokens else res.request(prio)
+                yield grant
+                log.append((eng.now, pid, i, "granted"))
+                yield hold if tokens else eng.timeout(hold)
+                res.release(grant)
+            log.append((eng.now, pid, i))
+
+    for pid, steps in enumerate(program):
+        eng.process(proc(pid, steps))
+    eng.run()
+    assert all(not r.users and not r.queue for r in resources)
+    return log, eng.events_processed
+
+
+@given(st.lists(st.lists(_step, max_size=8), min_size=1, max_size=6))
+@settings(max_examples=80)
+def test_wake_tokens_replay_the_evented_program_exactly(program):
+    assert _run_program(program, tokens=True) == _run_program(program, tokens=False)

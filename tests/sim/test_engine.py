@@ -115,3 +115,22 @@ def test_nested_processes_join():
     p = eng.process(parent())
     eng.run()
     assert p.value == 43
+
+
+def test_try_jump_rejects_a_negative_delay_without_moving_the_clock():
+    eng = Engine(start_time=100.0)
+    with pytest.raises(ValueError, match="negative timeout delay"):
+        eng.try_jump(-50.0)
+    assert eng.now == 100.0
+    assert eng.events_processed == 0 and eng.events_jumped == 0
+    assert eng.try_jump(0.0) and eng.now == 100.0
+
+
+def test_pipe_jump_rejects_a_negative_transfer():
+    from repro.sim import BandwidthPipe
+
+    eng = Engine(start_time=10.0)
+    pipe = BandwidthPipe(eng, rate=2.0)
+    with pytest.raises(ValueError, match="negative timeout delay"):
+        pipe.try_jump_transfer(-8)
+    assert eng.now == 10.0 and pipe.bytes_transferred == 0

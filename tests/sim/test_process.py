@@ -24,14 +24,17 @@ def test_process_is_alive_until_done():
 
 
 def test_yield_non_event_raises():
-    eng = Engine()
+    # Numbers are sleeps (``yield 42``); anything else that is not an
+    # event — bools included — is still a model bug.
+    for bad in (object(), "42", True):
+        eng = Engine()
 
-    def proc():
-        yield 42  # type: ignore[misc]
+        def proc():
+            yield bad  # type: ignore[misc]
 
-    eng.process(proc())
-    with pytest.raises(TypeError, match="yield"):
-        eng.run()
+        eng.process(proc())
+        with pytest.raises(TypeError, match="yield"):
+            eng.run()
 
 
 def test_exception_in_process_propagates_when_unjoined():
