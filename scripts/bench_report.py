@@ -12,7 +12,8 @@ Measures, without pytest overhead so numbers are comparable across runs:
   ``repro.core.batch.run_batch`` (cache disabled), plus the warm-cache
   re-run time for the same grid;
 * trace compilation: cold compile vs warm replay of the compiled
-  reference traces (``repro.core.trace``), per app;
+  reference traces (``repro.core.trace``), per app; warm replay is one
+  full pass over every processor's decoded rows, which each run pays;
 * pair runs: wall-clock of a full standard+NWCache pair per app, on the
   generator path vs the warm compiled-trace path.
 
@@ -32,6 +33,7 @@ import math
 import platform
 import sys
 import time
+from collections import deque
 from pathlib import Path
 
 from repro.core.batch import default_jobs, grid_specs, run_batch
@@ -190,11 +192,14 @@ def bench_traces(scale: float) -> dict:
             lambda: trace_mod.get_trace(wl, 8, 1999, cache=False)
         )
         compiled = trace_mod.get_trace(wl, 8, 1999, cache=False)
-        # warm replay cost = fetching the memoized trace + decoding the
-        # columns the CPUs iterate (cached after the first decode)
+        # warm replay cost = fetching the memoized trace + one full pass
+        # over the rows every processor decodes, which every run pays
         warm = _timed(
             lambda: [
-                trace_mod.get_trace(wl, 8, 1999, cache=False).columns(p)
+                deque(
+                    trace_mod.get_trace(wl, 8, 1999, cache=False).rows(p),
+                    maxlen=0,
+                )
                 for p in range(8)
             ]
         )

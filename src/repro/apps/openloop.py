@@ -482,8 +482,14 @@ class TraceDrivenWorkload(Workload):
     and fingerprint the file contents (SHA-256), so the compiled-trace
     cache key covers the schedule itself.  ``streams()`` then gives
     each node its own file handle read in ``chunk_requests``-line
-    blocks — at no point does the full schedule sit in RAM, so
-    multi-million-request files replay in constant memory.
+    blocks, so the generator path never holds the full schedule.
+
+    Replay is bounded on both paths: compiled replay decodes the trace
+    arrays a chunk at a time (:meth:`CompiledTrace.rows
+    <repro.core.trace.CompiledTrace.rows>`).  Compilation is not: it
+    gathers each node's whole schedule into Python lists before
+    packing them into arrays, and the arrays (in the process-wide memo
+    and the on-disk trace cache) hold the whole schedule.
 
     ``warmup`` > 0 inserts the measured-phase barrier after that many
     of *each node's* requests (nodes with fewer emit it after their

@@ -314,9 +314,11 @@ class Machine:
             done.callbacks.append(lambda _ev: injector.stop())
         # The drain loop allocates hundreds of thousands of short-lived
         # events that reference counting alone reclaims; pausing the
-        # cyclic collector avoids repeated full-heap scans mid-run.
-        # Finished processes *can* sit in cycles with their generator
-        # frames — those are reclaimed after the collector resumes.
+        # cyclic collector avoids repeated full-heap scans mid-run.  A
+        # run creates no reference cycles (finished processes drop their
+        # wake tokens, fired conditions leave their children's callback
+        # lists; tests/core/test_run_memory.py pins it), so nothing it
+        # drops waits for the collector.
         gc_was_enabled = gc.isenabled()
         if gc_was_enabled:
             gc.disable()

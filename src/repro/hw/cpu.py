@@ -173,14 +173,15 @@ class Cpu:
           target, and then consumes exactly the event ids and counts the
           evented wait would have; otherwise the wait is scheduled as
           real events, exactly as :meth:`run` does.
+
+        The items come from :meth:`CompiledTrace.rows
+        <repro.core.trace.CompiledTrace.rows>`, which decodes the arrays
+        one chunk at a time on every run: replay holds one chunk of
+        Python scalars per processor, never the whole decoded trace.
         """
         from repro.core.trace import KIND_VISIT
 
         self.started_at = self.engine.now
-        # Cached bulk decode to plain Python scalars (see
-        # CompiledTrace.columns): bit-identical arithmetic, paid once per
-        # trace rather than once per run.
-        kinds, page_col, read_col, write_col, think_col = trace.columns(proc)
         barrier_keys = trace.barrier_keys
         engine = self.engine
         try_jump = engine.try_jump
@@ -208,12 +209,10 @@ class Cpu:
         # Each jump-first flush block below is :meth:`_flush` with the
         # sleep attempted as a clock jump, inlined: a flush precedes
         # every contended interaction, so a sub-generator per flush was
-        # a measurable share of the per-item cost.  zip instead of
-        # indexing: one tuple unpack per item replaces five list
-        # subscripts (for barriers, ``pg`` carries the key index).
-        for kind, pg, n_reads, n_writes, think in zip(
-            kinds, page_col, read_col, write_col, think_col
-        ):
+        # a measurable share of the per-item cost.  Rows are decoded a
+        # chunk at a time to plain Python scalars (for barriers, ``pg``
+        # carries the key index).
+        for kind, pg, n_reads, n_writes, think in trace.rows(proc):
             if kind == KIND_VISIT:
                 n_visits += 1
                 page = page_base + pg

@@ -134,7 +134,16 @@ class Timeout(Event):
 
 
 class _Condition(Event):
-    """Shared machinery for :class:`AllOf` / :class:`AnyOf`."""
+    """Shared machinery for :class:`AllOf` / :class:`AnyOf`.
+
+    Once a condition triggers (success or failure) it leaves the
+    callback list of every child not yet processed, and a condition
+    that triggers in its constructor attaches to no further child, as
+    SimPy's ``Condition`` does.  Its callback would only return at once,
+    and keeping it would hold the condition, its value dict and its
+    children in a reference cycle with any child that never fires
+    (``Machine.run`` runs with the cyclic collector off).
+    """
 
     __slots__ = ("events", "_n_fired")
 
@@ -146,24 +155,39 @@ class _Condition(Event):
             if ev.engine is not engine:
                 raise ValueError("all condition events must share one engine")
         # Attach after validation so a raise leaves no dangling callbacks.
+        on_fire = self._on_fire
         for ev in self.events:
             if ev.processed:
-                self._on_fire(ev)
+                on_fire(ev)
+                if self.triggered:
+                    break  # attach to no later child
             else:
-                ev.callbacks.append(self._on_fire)
+                ev.callbacks.append(on_fire)
         if not self.events and not self.triggered:
             self._finalize()
 
     def _on_fire(self, ev: Event) -> None:
         if self.triggered:
-            return
+            return  # a child listed twice, dispatched after the trigger
         if not ev.ok:
             ev._defused = True  # the condition takes ownership of the failure
             self.fail(ev.value)
-            return
-        self._n_fired += 1
-        if self._check():
+        else:
+            self._n_fired += 1
+            if not self._check():
+                return
             self._finalize()
+        self._detach()
+
+    def _detach(self) -> None:
+        """Leave the callback lists of the children not yet processed."""
+        on_fire = self._on_fire
+        for ev in self.events:
+            callbacks = ev.callbacks
+            # a processed child has no list; a child listed twice may
+            # have been attached once (constructor-time trigger)
+            if callbacks and on_fire in callbacks:
+                callbacks.remove(on_fire)
 
     def _check(self) -> bool:  # pragma: no cover - overridden
         raise NotImplementedError

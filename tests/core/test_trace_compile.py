@@ -14,6 +14,7 @@ from repro.core.trace import (
     CompiledTrace,
     KIND_BARRIER,
     KIND_VISIT,
+    ROW_CHUNK,
     TraceCache,
     clear_memo,
     compile_workload,
@@ -62,6 +63,19 @@ def test_decode_honors_page_base():
     want = generator_items(app_at_scale("sor"), 4, SEED, page_base=96)
     for proc in range(4):
         assert list(trace.items(proc, page_base=96)) == want[proc]
+
+
+def test_rows_decode_across_chunk_boundaries():
+    """A stream of several ``ROW_CHUNK``s decodes whole, in order, to
+    plain Python scalars (what keeps replay arithmetic bit-identical)."""
+    app = SyntheticWorkload(n_pages=2 * ROW_CHUNK + 5, sweeps=1)
+    trace = compile_workload(app, 1, SEED)
+    assert len(trace.kinds[0]) > 2 * ROW_CHUNK
+    assert list(trace.items(0)) == generator_items(app, 1, SEED)[0]
+    rows = list(trace.rows(0))
+    assert len(rows) == len(trace.kinds[0])
+    for row in (rows[0], rows[ROW_CHUNK], rows[-2]):
+        assert [type(v) for v in row] == [int, int, int, int, float]
 
 
 def test_compile_is_deterministic():

@@ -1,8 +1,11 @@
 """Tests for event primitives (Event, Timeout, AllOf, AnyOf)."""
 
+import gc
+import weakref
+
 import pytest
 
-from repro.sim import Engine
+from repro.sim import AnyOf, Engine
 
 
 def test_event_starts_pending():
@@ -149,3 +152,109 @@ def test_timeout_value_passthrough():
     p = eng.process(proc())
     eng.run()
     assert p.value == "payload"
+
+
+# ------------------------------------------------ conditions let go
+class _TracedAnyOf(AnyOf):
+    """An ``AnyOf`` that logs its callback runs and can be weakly referenced."""
+
+    __slots__ = ("calls", "__weakref__")
+
+    def __init__(self, engine, events):
+        self.calls = []
+        super().__init__(engine, events)
+
+    def _on_fire(self, ev):
+        self.calls.append(ev)
+        super()._on_fire(ev)
+
+
+def test_fired_any_of_leaves_the_other_child():
+    eng = Engine()
+    first, other = eng.event(), eng.event()
+    cond = eng.any_of([first, other])
+    first.succeed("a")
+    eng.run()
+    assert cond.processed and cond.value == {first: "a"}
+    assert other.callbacks == []
+
+
+def test_failed_all_of_leaves_the_other_children():
+    eng = Engine()
+    before, bad, after = eng.event(), eng.event(), eng.event()
+    caught = []
+
+    def waiter():
+        try:
+            yield eng.all_of([before, bad, after])
+        except KeyError as exc:
+            caught.append(exc)
+
+    eng.process(waiter())
+    eng.run()
+    bad.fail(KeyError("oops"))
+    eng.run()
+    assert len(caught) == 1
+    assert before.callbacks == [] and after.callbacks == []
+
+
+def test_a_detached_child_fires_alone():
+    eng = Engine()
+    first, other = eng.event(), eng.event()
+    cond = _TracedAnyOf(eng, [first, other])
+    first.succeed()
+    eng.run()
+    processed = eng.events_processed
+    other.succeed("late")
+    eng.run()
+    assert cond.calls == [first]
+    assert eng.events_processed == processed + 1
+    assert cond.value == {first: None}
+
+
+def test_condition_fired_in_its_constructor_attaches_to_no_later_child():
+    eng = Engine()
+    done = eng.timeout(1, value="x")
+    eng.run()
+    before, after = eng.event(), eng.event()
+    cond = eng.any_of([before, done, after])
+    assert cond.triggered and cond.value == {done: "x"}
+    assert before.callbacks == [] and after.callbacks == []
+
+
+@pytest.mark.parametrize("fire_twice_listed", [True, False])
+def test_a_child_listed_twice_is_detached_twice(fire_twice_listed):
+    eng = Engine()
+    twice, other = eng.event(), eng.event()
+    cond = _TracedAnyOf(eng, [twice, other, twice])
+    (twice if fire_twice_listed else other).succeed()
+    eng.run()
+    assert cond.processed
+    assert twice.callbacks in (None, []) and other.callbacks in (None, [])
+    # a dispatching child runs every subscription it holds; the ones
+    # after the trigger return at once
+    assert len(cond.calls) == (2 if fire_twice_listed else 1)
+
+
+def test_fired_any_of_is_freed_without_the_cycle_collector():
+    eng = Engine()
+    first, other = eng.event(), eng.event()
+    refs = []
+
+    def waiter():
+        cond = _TracedAnyOf(eng, [first, other])
+        refs.append(weakref.ref(cond))
+        yield cond
+
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        eng.process(waiter())
+        eng.run()
+        first.succeed()
+        eng.run()
+        assert not other.triggered
+        assert refs[0]() is None
+    finally:
+        if was_enabled:
+            gc.enable()
